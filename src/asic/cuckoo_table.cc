@@ -47,22 +47,34 @@ bool DigestCuckooTable::is_false_positive(const net::FiveTuple& key,
   return slots_[idx].used && !(shadow_keys_[idx] == key);
 }
 
+std::optional<std::size_t> DigestCuckooTable::find_exact(
+    const net::FiveTuple& key) const {
+  for (std::uint32_t stage = 0; stage < config_.stages; ++stage) {
+    const std::uint32_t bucket = bucket_of(key, stage);
+    for (std::uint32_t way = 0; way < config_.ways; ++way) {
+      const std::size_t idx = flat_index(SlotRef{stage, bucket, way});
+      if (slots_[idx].used && shadow_keys_[idx] == key) return idx;
+    }
+  }
+  return std::nullopt;
+}
+
 bool DigestCuckooTable::contains(const net::FiveTuple& key) const {
-  return index_.contains(key);
+  return find_exact(key).has_value();
 }
 
 std::optional<std::uint32_t> DigestCuckooTable::exact_value(
     const net::FiveTuple& key) const {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  return slots_[flat_index(it->second)].value;
+  const auto idx = find_exact(key);
+  if (!idx) return std::nullopt;
+  return slots_[*idx].value;
 }
 
 bool DigestCuckooTable::update_value(const net::FiveTuple& key,
                                      std::uint32_t value) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  slots_[flat_index(it->second)].value = value;
+  const auto idx = find_exact(key);
+  if (!idx) return false;
+  slots_[*idx].value = value;
   return true;
 }
 
@@ -72,7 +84,7 @@ void DigestCuckooTable::place(const net::FiveTuple& key, std::uint32_t value,
   SR_DCHECK(!slots_[idx].used);
   slots_[idx] = Slot{true, digest_of(key), value};
   shadow_keys_[idx] = key;
-  index_[key] = ref;
+  ++size_;
 }
 
 void DigestCuckooTable::move_entry(const SlotRef& from, const SlotRef& to) {
@@ -82,7 +94,6 @@ void DigestCuckooTable::move_entry(const SlotRef& from, const SlotRef& to) {
   slots_[dst] = slots_[src];
   shadow_keys_[dst] = shadow_keys_[src];
   slots_[src].used = false;
-  index_[shadow_keys_[dst]] = to;
   total_moves_.inc();
 }
 
@@ -109,9 +120,9 @@ struct BfsNode {
 
 DigestCuckooTable::InsertResult DigestCuckooTable::insert(
     const net::FiveTuple& key, std::uint32_t value) {
-  if (index_.contains(key)) {
+  if (const auto idx = find_exact(key)) {
     // Re-learn of an existing connection: refresh action data.
-    update_value(key, value);
+    slots_[*idx].value = value;
     return InsertResult{true, 0};
   }
   // Fast path: a free way in one of the key's buckets.
@@ -187,10 +198,10 @@ DigestCuckooTable::InsertResult DigestCuckooTable::insert(
 }
 
 bool DigestCuckooTable::erase(const net::FiveTuple& key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  slots_[flat_index(it->second)].used = false;
-  index_.erase(it);
+  const auto idx = find_exact(key);
+  if (!idx) return false;
+  slots_[*idx].used = false;
+  --size_;
   return true;
 }
 
@@ -201,24 +212,27 @@ void DigestCuckooTable::touch(const SlotRef& slot, std::uint64_t stamp) {
 
 void DigestCuckooTable::touch_exact(const net::FiveTuple& key,
                                     std::uint64_t stamp) {
-  const auto it = index_.find(key);
-  if (it != index_.end()) touch(it->second, stamp);
+  if (const auto idx = find_exact(key)) slots_[*idx].last_hit = stamp;
 }
 
 std::vector<net::FiveTuple> DigestCuckooTable::collect_idle(
     std::uint64_t older_than) const {
   std::vector<net::FiveTuple> idle;
-  for (const auto& [key, ref] : index_) {
-    if (slots_[flat_index(ref)].last_hit < older_than) idle.push_back(key);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].used && slots_[i].last_hit < older_than) {
+      idle.push_back(shadow_keys_[i]);
+    }
   }
   return idle;
 }
 
 std::vector<DigestCuckooTable::Entry> DigestCuckooTable::entries() const {
   std::vector<Entry> out;
-  out.reserve(index_.size());
-  for (const auto& [key, ref] : index_) {
-    out.push_back(Entry{key, slots_[flat_index(ref)].value, ref});
+  out.reserve(size_);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].used) {
+      out.push_back(Entry{shadow_keys_[i], slots_[i].value, slot_ref(i)});
+    }
   }
   return out;
 }
@@ -275,7 +289,6 @@ bool DigestCuckooTable::relocate_for(const net::FiveTuple& arriving,
   const std::size_t idx = flat_index(slot);
   if (!slots_[idx].used) return false;
   const net::FiveTuple resident = shadow_keys_[idx];
-  const std::uint32_t resident_value = slots_[idx].value;
   // A stage is conflict-free if the two keys address different buckets there
   // (the digests are equal by construction of a false positive, so bucket
   // separation is the only way to disambiguate).
@@ -320,7 +333,6 @@ bool DigestCuckooTable::relocate_for(const net::FiveTuple& arriving,
   // Pass 3: as a last resort, erase + full BFS reinsert of the resident with
   // the conflicting placements masked out by temporarily occupying them is
   // not modeled; report failure and let the control plane fall back.
-  (void)resident_value;
   return false;
 }
 

@@ -19,13 +19,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "asic/sram.h"
 #include "net/hash.h"
 #include "net/five_tuple.h"
-#include "obs/sharded.h"
+#include "obs/metrics.h"
 #include "obs/stage_profiler.h"
 #include "obs/trace.h"
 
@@ -100,7 +99,7 @@ class DigestCuckooTable {
   void clear() {
     for (auto& slot : slots_) slot = Slot{};
     for (auto& key : shadow_keys_) key = net::FiveTuple{};
-    index_.clear();
+    size_ = 0;
   }
 
   /// CPU-side exact-match presence test (uses shadow state, no digests).
@@ -128,11 +127,11 @@ class DigestCuckooTable {
   void touch_exact(const net::FiveTuple& key, std::uint64_t stamp);
 
   /// Collects the keys of entries whose last activity stamp is strictly
-  /// older than `older_than` (the CPU's aging sweep).
+  /// older than `older_than` (the CPU's aging sweep), in slot order.
   std::vector<net::FiveTuple> collect_idle(std::uint64_t older_than) const;
 
   // --- Introspection -------------------------------------------------------
-  std::size_t size() const noexcept { return index_.size(); }
+  std::size_t size() const noexcept { return size_; }
   std::size_t capacity() const noexcept {
     return config_.stages * config_.buckets_per_stage * config_.ways;
   }
@@ -162,12 +161,12 @@ class DigestCuckooTable {
     std::uint32_t value = 0;
     SlotRef slot;
   };
-  /// Snapshot of every installed entry (invariant-auditor input; order is
-  /// unspecified).
+  /// Snapshot of every installed entry in slot order (invariant-auditor
+  /// input).
   std::vector<Entry> entries() const;
 
   /// Number of physically occupied slots. Always equals size() unless the
-  /// word array and the CPU shadow index have diverged — the "phantom SRAM
+  /// word array and the CPU's entry count have diverged — the "phantom SRAM
   /// accounting" corruption the invariant auditor detects.
   std::size_t used_slot_count() const noexcept;
 
@@ -226,12 +225,22 @@ class DigestCuckooTable {
                config_.ways +
            ref.way;
   }
+  SlotRef slot_ref(std::size_t index) const noexcept {
+    const std::size_t word = index / config_.ways;
+    return SlotRef{static_cast<std::uint32_t>(word / config_.buckets_per_stage),
+                   static_cast<std::uint32_t>(word % config_.buckets_per_stage),
+                   static_cast<std::uint32_t>(index % config_.ways)};
+  }
   std::uint64_t stage_seed(std::uint32_t stage) const noexcept {
     return net::mix64(config_.hash_seed + 0x9E37 * (stage + 1));
   }
 
   /// Places `key` in a free way of its bucket at some stage, if one exists.
   std::optional<SlotRef> find_free_slot(const net::FiveTuple& key) const;
+  /// Flat index of the slot holding exactly `key`: probes the key's
+  /// stages x ways candidate slots and compares shadow keys (every entry
+  /// lives in one of its own candidates, cuckoo moves included).
+  std::optional<std::size_t> find_exact(const net::FiveTuple& key) const;
 
   void place(const net::FiveTuple& key, std::uint32_t value, const SlotRef& ref);
   void move_entry(const SlotRef& from, const SlotRef& to);
@@ -240,11 +249,11 @@ class DigestCuckooTable {
   std::vector<Slot> slots_;
   /// CPU shadow: full 5-tuple per occupied slot (parallel to slots_).
   std::vector<net::FiveTuple> shadow_keys_;
-  /// CPU shadow index: key -> current slot.
-  std::unordered_map<net::FiveTuple, SlotRef, net::FiveTupleHash> index_;
-  /// Sharded (DESIGN.md §14): bumped on the per-lookup/insert hot path.
-  obs::ShardedCounter total_moves_;
-  obs::ShardedCounter failed_inserts_;
+  /// Installed entries, kept by insert/erase (the auditor checks it against
+  /// the occupied-slot count).
+  std::size_t size_ = 0;
+  obs::Counter total_moves_;
+  obs::Counter failed_inserts_;
   obs::StageProfiler* profiler_ = nullptr;
   obs::TraceRing* trace_ = nullptr;
 };

@@ -290,7 +290,7 @@ void InvariantAuditor::check_sram_accounting(
                        "phantom SRAM occupancy: " + std::to_string(used) +
                            " used slots vs " +
                            std::to_string(sw_.conn_table_.size()) +
-                           " indexed entries"));
+                           " installed entries"));
   }
   std::size_t pool_bytes = 0;
   for (const auto& [vip, state] : sw_.vips_) {
@@ -365,7 +365,7 @@ void TestingHooks::corrupt_slot_accounting(core::SilkRoadSwitch& sw) {
   auto& table = sw.conn_table_;
   for (auto& slot : table.slots_) {
     if (slot.used) {
-      slot.used = false;  // the shadow index now points at a vacant slot
+      slot.used = false;  // the entry count now exceeds the used slots
       return;
     }
   }

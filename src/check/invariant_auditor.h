@@ -23,7 +23,7 @@
 //                           old/new versions, member sets) is coherent.
 //   "sram-accounting"     — reported SRAM usage matches the table geometry
 //                           and the physical slot occupancy matches the CPU
-//                           shadow index (no phantom entries).
+//                           entry count (no phantom entries).
 //   "dip-pool-coverage"   — every (VIP, version) pair a ConnTable entry can
 //                           resolve to has a DIPPoolTable pool, including
 //                           each VIP's current version.
@@ -91,7 +91,7 @@ struct TestingHooks {
                                       const net::FiveTuple& flow,
                                       std::uint32_t version);
 
-  /// Desynchronizes the physical slot array from the CPU shadow index
+  /// Desynchronizes the physical slot array from the CPU entry count
   /// (phantom SRAM accounting): clears one occupied slot's used bit if any
   /// entry exists, otherwise fabricates an occupied slot.
   static void corrupt_slot_accounting(core::SilkRoadSwitch& sw);

@@ -11,7 +11,7 @@
 // packet indices — determinism is a first-class property (tested).
 //
 // Sampled latencies land in log-scaled HDR-style histograms
-// (`<prefix>_stage_latency_ns{stage="<name>"}`, sharded) plus optional
+// (`<prefix>_stage_latency_ns{stage="<name>"}`) plus optional
 // per-VIP histograms from vip_series(); /profile renders their
 // p50/p99/p999. Stage scopes carry the same re-entry guard as StageProfiler:
 // a nested enter() bumps `<prefix>_profiler_reentry_total{stage=...}` and is
@@ -19,7 +19,7 @@
 //
 // Thread model: one SamplingProfiler instance belongs to one data-plane
 // thread (the countdown and open flags are plain fields); the registry
-// series it writes are sharded/atomic and safe to scrape from any thread.
+// series it writes are relaxed atomics and safe to scrape from any thread.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/sharded.h"
 #include "sim/random.h"
 
 namespace silkroad::obs {
@@ -93,9 +92,8 @@ class SamplingProfiler {
   }
 
   /// Per-VIP sampled-latency histogram (`<prefix>_vip_latency_ns{vip=...}`),
-  /// registered on first use. Plain (unsharded) on purpose: it is written at
-  /// the sampling rate, not per packet. Call at VIP-add time and cache the
-  /// handle; record into it only when sampling().
+  /// registered on first use. Call at VIP-add time and cache the handle;
+  /// record into it only when sampling().
   Histogram* vip_series(const std::string& vip);
 
   std::uint64_t period() const noexcept { return period_; }
@@ -105,8 +103,8 @@ class SamplingProfiler {
 
  private:
   struct Stage {
-    ShardedHistogram* latency = nullptr;
-    ShardedCounter* reentries = nullptr;
+    Histogram* latency = nullptr;
+    Counter* reentries = nullptr;
     bool open = false;
   };
 
@@ -123,7 +121,7 @@ class SamplingProfiler {
   std::uint64_t countdown_ = 1;
   bool sampling_ = false;
   std::vector<Stage> stages_;
-  ShardedCounter* sampled_packets_ = nullptr;
+  Counter* sampled_packets_ = nullptr;
 };
 
 }  // namespace silkroad::obs

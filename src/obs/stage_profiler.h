@@ -5,9 +5,7 @@
 // pipeline latency. The profiler materializes that as labeled registry
 // series — `<prefix>_stage_packets_total{stage="2"}` etc. — so a snapshot
 // answers "which stage is the bottleneck" directly. Handles are resolved
-// once at construction; the per-event cost is one sharded counter increment
-// (these series sit on the per-lookup data path, so they use ShardedCounter —
-// DESIGN.md §14).
+// once at construction; the per-event cost is one relaxed counter increment.
 //
 // Timing scopes: enter()/exit() bracket a stage's latency charge. A nested
 // enter() on an already-open stage would double-charge the stage sum, so it
@@ -22,7 +20,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/sharded.h"
 
 namespace silkroad::obs {
 
@@ -76,11 +73,11 @@ class StageProfiler {
 
  private:
   struct Stage {
-    ShardedCounter* packets = nullptr;
-    ShardedCounter* hits = nullptr;
-    ShardedCounter* misses = nullptr;
-    ShardedCounter* latency_ns = nullptr;
-    ShardedCounter* reentries = nullptr;
+    Counter* packets = nullptr;
+    Counter* hits = nullptr;
+    Counter* misses = nullptr;
+    Counter* latency_ns = nullptr;
+    Counter* reentries = nullptr;
     bool open = false;
   };
   std::vector<Stage> stages_;

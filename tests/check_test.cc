@@ -117,7 +117,7 @@ TEST_F(CheckTest, DetectsPhantomSramAccounting) {
 }
 
 TEST_F(CheckTest, DetectsPhantomOccupancyInEmptyTable) {
-  // The other direction: a slot marked used that the shadow index ignores.
+  // The other direction: a slot marked used that the entry count ignores.
   check::TestingHooks::corrupt_slot_accounting(sw_);
   const auto families = violated_invariants();
   EXPECT_TRUE(std::count(families.begin(), families.end(), "sram-accounting"));

@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "obs/sampling_profiler.h"
 #include "obs/scrape_server.h"
-#include "obs/sharded.h"
 #include "obs/stage_profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -168,6 +167,27 @@ TEST(Histogram, CountAndSumTrackRecords) {
   EXPECT_EQ(sample->buckets.back().cumulative_count, 3u);
 }
 
+TEST(Histogram, ConcurrentRecordsAreLossless) {
+  MetricsRegistry registry;
+  Histogram* h = registry.histogram("lat");
+  std::vector<std::thread> threads;
+  constexpr std::uint64_t kPerThread = 20'000;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([h, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        h->record(static_cast<std::uint64_t>(t) * 1000 + 7);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(h->count(), 8 * kPerThread);
+  std::uint64_t expected_sum = 0;
+  for (int t = 0; t < 8; ++t) {
+    expected_sum += (static_cast<std::uint64_t>(t) * 1000 + 7) * kPerThread;
+  }
+  EXPECT_EQ(h->sum(), expected_sum);
+}
+
 // ---------------------------------------------------------------------------
 // Histogram quantiles (Snapshot::quantile / histogram_quantile)
 // ---------------------------------------------------------------------------
@@ -206,12 +226,9 @@ TEST(HistogramQuantile, SingleBucketKeepsAllQuantilesInsideIt) {
   Histogram* h = registry.histogram("lat");
   for (int i = 0; i < 100; ++i) h->record(700);  // one log-linear bucket
   const Snapshot snap = registry.snapshot();
-  const std::size_t bucket =
-      hdr_bucket_index(700, Histogram::Options{}.log2_subdivisions);
-  const double lower = static_cast<double>(
-      hdr_bucket_lower_bound(bucket, Histogram::Options{}.log2_subdivisions));
-  const double upper = static_cast<double>(hdr_bucket_lower_bound(
-      bucket + 1, Histogram::Options{}.log2_subdivisions));
+  const std::size_t bucket = h->bucket_index(700);
+  const double lower = static_cast<double>(h->bucket_lower_bound(bucket));
+  const double upper = static_cast<double>(h->bucket_lower_bound(bucket + 1));
   for (const double q : {0.01, 0.5, 0.99, 0.999}) {
     const double est = snap.quantile("lat", "", q);
     EXPECT_GE(est, lower) << "q=" << q;
@@ -241,13 +258,12 @@ TEST(HistogramQuantile, ExactBoundaryValueStaysInItsBucket) {
   Histogram* h = registry.histogram("lat");
   const std::uint64_t boundary = 256;
   for (int i = 0; i < 50; ++i) h->record(boundary);
-  const std::size_t sub = Histogram::Options{}.log2_subdivisions;
-  const std::size_t bucket = hdr_bucket_index(boundary, sub);
-  EXPECT_GE(boundary, hdr_bucket_lower_bound(bucket, sub));
-  EXPECT_LT(boundary, hdr_bucket_lower_bound(bucket + 1, sub));
+  const std::size_t bucket = h->bucket_index(boundary);
+  EXPECT_GE(boundary, h->bucket_lower_bound(bucket));
+  EXPECT_LT(boundary, h->bucket_lower_bound(bucket + 1));
   const double est = registry.snapshot().quantile("lat", "", 0.5);
-  EXPECT_GE(est, static_cast<double>(hdr_bucket_lower_bound(bucket, sub)));
-  EXPECT_LE(est, static_cast<double>(hdr_bucket_lower_bound(bucket + 1, sub)));
+  EXPECT_GE(est, static_cast<double>(h->bucket_lower_bound(bucket)));
+  EXPECT_LE(est, static_cast<double>(h->bucket_lower_bound(bucket + 1)));
 }
 
 TEST(HistogramQuantile, NanForMissingEmptyOrNonHistogram) {
@@ -941,82 +957,6 @@ TEST(SwitchTelemetry, TraceDroppedGaugeTracksRingWraparound) {
   EXPECT_GT(sw.trace().dropped(), 0u);
   EXPECT_EQ(sw.metrics().snapshot().value_of("obs_trace_dropped_total"),
             static_cast<double>(sw.trace().dropped()));
-}
-
-// ---------------------------------------------------------------------------
-// Sharded counters and histograms (DESIGN.md §14)
-// ---------------------------------------------------------------------------
-
-TEST(ShardedCounter, MultithreadedSumIsExact) {
-  MetricsRegistry registry;
-  ShardedCounter* c = registry.sharded_counter("pkts");
-  std::vector<std::thread> threads;
-  constexpr std::uint64_t kPerThread = 50'000;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([c] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) c->inc();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(c->value(), 8 * kPerThread);
-  // Snapshot renders it as a plain counter sample — scrapers cannot tell.
-  const Snapshot snap = registry.snapshot();
-  const MetricSample* sample = snap.find("pkts");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->kind, MetricKind::kCounter);
-  EXPECT_EQ(sample->value, static_cast<double>(8 * kPerThread));
-}
-
-TEST(ShardedCounter, RegistryReturnsSameHandleForSameSeries) {
-  MetricsRegistry registry;
-  ShardedCounter* a = registry.sharded_counter("pkts", "help", "vip=\"v\"");
-  ShardedCounter* b = registry.sharded_counter("pkts", "", "vip=\"v\"");
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, registry.sharded_counter("pkts", "", "vip=\"w\""));
-}
-
-TEST(ShardedHistogram, MatchesPlainHistogramBucketForBucket) {
-  MetricsRegistry registry;
-  Histogram* plain = registry.histogram("plain_lat");
-  ShardedHistogram* sharded = registry.sharded_histogram("sharded_lat");
-  sim::Rng rng(42);
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t v = rng.uniform_int(1'000'000);
-    plain->record(v);
-    sharded->record(v);
-  }
-  ASSERT_EQ(sharded->bucket_count(), plain->bucket_count());
-  EXPECT_EQ(sharded->count(), plain->count());
-  EXPECT_EQ(sharded->sum(), plain->sum());
-  for (std::size_t b = 0; b < plain->bucket_count(); ++b) {
-    EXPECT_EQ(sharded->bucket_value(b), plain->bucket_value(b)) << "b=" << b;
-    EXPECT_EQ(sharded->bucket_lower_bound(b), plain->bucket_lower_bound(b));
-  }
-  // Identical buckets mean identical snapshot quantiles.
-  const Snapshot snap = registry.snapshot();
-  EXPECT_DOUBLE_EQ(snap.quantile("plain_lat", "", 0.99),
-                   snap.quantile("sharded_lat", "", 0.99));
-}
-
-TEST(ShardedHistogram, ConcurrentRecordsAreLossless) {
-  MetricsRegistry registry;
-  ShardedHistogram* h = registry.sharded_histogram("lat");
-  std::vector<std::thread> threads;
-  constexpr std::uint64_t kPerThread = 20'000;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([h, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        h->record(static_cast<std::uint64_t>(t) * 1000 + 7);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(h->count(), 8 * kPerThread);
-  std::uint64_t expected_sum = 0;
-  for (int t = 0; t < 8; ++t) {
-    expected_sum += (static_cast<std::uint64_t>(t) * 1000 + 7) * kPerThread;
-  }
-  EXPECT_EQ(h->sum(), expected_sum);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "core/memory_model.h"
 #include "core/silkroad_switch.h"
@@ -246,6 +248,120 @@ TEST(SilkRoadSwitch, DigestCollisionSynRedirectResolves) {
     ASSERT_TRUE(r.dip.has_value());
     EXPECT_EQ(*r.dip, dip) << "client " << client;
   }
+}
+
+TEST(SilkRoadSwitch, FinBehindDigestCollisionErasesOwnEntry) {
+  // 1-bit digests leave some installed flows shadowed: their lookup stops
+  // at a digest-colliding entry in an earlier stage (cuckoo moves and
+  // failed relocations re-create shadows resolve_digest_conflicts cannot
+  // see). A FIN on such a flow false-hits, yet must still erase the flow's
+  // own entry, or the entry outlives the connection.
+  sim::Simulator sim;
+  auto config = small_config();
+  config.conn_table.digest_bits = 1;
+  config.conn_table.buckets_per_stage = 16;
+  SilkRoadSwitch sw(sim, config);
+  sw.add_vip(vip_ep(), make_dips(8));
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    sw.process_packet(packet_of(i, true));
+    sim.run();
+  }
+  const auto& table = sw.conn_table();
+  std::vector<std::uint32_t> shadowed;
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    const net::FiveTuple flow = make_flow(i);
+    const auto hit = table.lookup(flow);
+    if (table.contains(flow) && hit &&
+        table.is_false_positive(flow, hit->slot)) {
+      shadowed.push_back(i);
+    }
+  }
+  ASSERT_FALSE(shadowed.empty());
+  const std::size_t installed = table.size();
+  const std::uint64_t erases = sw.stats().erases;
+  for (const std::uint32_t client : shadowed) {
+    sw.process_packet(packet_of(client, false, true));
+  }
+  sim.run();
+  for (const std::uint32_t client : shadowed) {
+    EXPECT_FALSE(table.contains(make_flow(client))) << "client " << client;
+  }
+  EXPECT_EQ(table.size(), installed - shadowed.size());
+  EXPECT_EQ(sw.stats().erases, erases + shadowed.size());
+}
+
+TEST(SilkRoadSwitch, InsertShadowingAnInstalledFlowIsRelocated) {
+  // Flow A sits in stage 1 because its stage-0 bucket was full. Flow B
+  // shares A's digest and stage-0 bucket, so once a way there frees up, B's
+  // insertion lands in front of A and A's lookups would false-hit B.
+  // resolve_digest_conflicts must move B away so A resolves exactly again.
+  //
+  // B's stage-1 bucket differs from A's, so A is in none of B's candidate
+  // slots: a conflict scan over only the new entry's candidate slots would
+  // miss this shadow (and would miss pending flows, which hold no slot).
+  sim::Simulator sim;
+  auto config = small_config();
+  config.conn_table.digest_bits = 4;
+  config.conn_table.buckets_per_stage = 8;
+  SilkRoadSwitch sw(sim, config);
+  sw.add_vip(vip_ep(), make_dips(8));
+  const auto& table = sw.conn_table();
+  const auto install = [&](std::uint32_t client) {
+    sw.process_packet(packet_of(client, true));
+    sim.run();
+    ASSERT_TRUE(table.contains(make_flow(client))) << "client " << client;
+  };
+
+  const net::FiveTuple a = make_flow(0);
+  const std::uint32_t digest = table.digest_of(a);
+  const std::uint32_t bucket0 = table.bucket_of(a, 0);
+  // Four stage-0 neighbours of A with distinct, non-colliding digests fill
+  // A's stage-0 bucket, so A lands in stage 1.
+  std::vector<std::uint32_t> fillers;
+  std::vector<std::uint32_t> filler_digests{digest};
+  std::uint32_t client = 1;
+  for (; fillers.size() < config.conn_table.ways; ++client) {
+    const net::FiveTuple f = make_flow(client);
+    const std::uint32_t d = table.digest_of(f);
+    if (table.bucket_of(f, 0) != bucket0 ||
+        std::count(filler_digests.begin(), filler_digests.end(), d) > 0) {
+      continue;
+    }
+    fillers.push_back(client);
+    filler_digests.push_back(d);
+  }
+  for (const std::uint32_t f : fillers) install(f);
+  install(0);
+  const auto a_hit = table.lookup(a);
+  ASSERT_TRUE(a_hit.has_value());
+  ASSERT_EQ(a_hit->slot.stage, 1u);
+  ASSERT_FALSE(table.is_false_positive(a, a_hit->slot));
+
+  // B: A's digest and stage-0 bucket, a different stage-1 bucket.
+  for (;; ++client) {
+    const net::FiveTuple b = make_flow(client);
+    if (table.digest_of(b) == digest && table.bucket_of(b, 0) == bucket0 &&
+        table.bucket_of(b, 1) != a_hit->slot.bucket) {
+      break;
+    }
+  }
+  const net::FiveTuple b = make_flow(client);
+  sw.process_packet(packet_of(fillers.front(), false, true));  // free a way
+  sim.run();
+  const std::uint64_t moves = table.total_moves();
+  install(client);
+
+  EXPECT_EQ(sw.stats().syn_false_positives, 0u);  // B's SYN missed cleanly
+  EXPECT_EQ(sw.stats().relocation_failures, 0u);
+  EXPECT_GT(table.total_moves(), moves);  // B was moved out of stage 0
+  const auto b_hit = table.lookup(b);
+  ASSERT_TRUE(b_hit.has_value());
+  EXPECT_NE(b_hit->slot.stage, 0u);
+  EXPECT_FALSE(table.is_false_positive(b, b_hit->slot));
+  const auto a_after = table.lookup(a);
+  ASSERT_TRUE(a_after.has_value());
+  EXPECT_EQ(a_after->slot, a_hit->slot);
+  EXPECT_FALSE(table.is_false_positive(a, a_after->slot));
 }
 
 TEST(SilkRoadSwitch, TableOverflowFallsBackToSoftware) {

@@ -111,7 +111,8 @@ def collect_suppressions(
                     comment.line,
                     "S1",
                     f"suppression names unknown rule(s) "
-                    f"{unknown or ['<none>']} — known: sorted R1..R14",
+                    f"{unknown or ['<none>']} — known: "
+                    f"{', '.join(r.rule_id for r in RULES)}",
                 )
             )
             continue
