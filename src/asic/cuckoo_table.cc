@@ -12,22 +12,21 @@ namespace silkroad::asic {
 DigestCuckooTable::DigestCuckooTable(const CuckooConfig& config)
     : config_(config),
       slots_(config.stages * config.buckets_per_stage * config.ways),
-      shadow_keys_(slots_.size()) {
+      shadow_keys_(slots_.size()),
+      shadow_hashes_(slots_.size()) {
   SR_CHECKF(config_.stages >= 2, "cuckoo needs at least two stages");
   SR_CHECK(config_.buckets_per_stage > 0 && config_.ways > 0);
-}
-
-std::uint32_t DigestCuckooTable::bucket_of(const net::FiveTuple& key,
-                                           std::uint32_t stage) const {
-  return static_cast<std::uint32_t>(
-      net::hash_five_tuple(key, stage_seed(stage)) % config_.buckets_per_stage);
-}
-
-std::optional<DigestCuckooTable::LookupResult> DigestCuckooTable::lookup(
-    const net::FiveTuple& key) const {
-  const std::uint32_t digest = digest_of(key);
   for (std::uint32_t stage = 0; stage < config_.stages; ++stage) {
-    const std::uint32_t bucket = bucket_of(key, stage);
+    stage_seeds_.push_back(
+        net::mix64(config_.hash_seed + 0x9E37 * (stage + 1)));
+  }
+}
+
+std::optional<DigestCuckooTable::LookupResult> DigestCuckooTable::lookup_hash(
+    std::uint64_t flow_hash) const {
+  const std::uint32_t digest = digest_of_hash(flow_hash);
+  for (std::uint32_t stage = 0; stage < config_.stages; ++stage) {
+    const std::uint32_t bucket = bucket_of_hash(flow_hash, stage);
     for (std::uint32_t way = 0; way < config_.ways; ++way) {
       const SlotRef ref{stage, bucket, way};
       const Slot& slot = slots_[flat_index(ref)];
@@ -48,23 +47,25 @@ bool DigestCuckooTable::is_false_positive(const net::FiveTuple& key,
 }
 
 std::optional<std::size_t> DigestCuckooTable::find_exact(
-    const net::FiveTuple& key) const {
+    const net::FlowKey& key) const {
+  // The digest and hash filters keep the walk in slots_ and shadow_hashes_;
+  // only a matching hash touches the 5-tuple.
+  const std::uint32_t digest = digest_of(key);
   for (std::uint32_t stage = 0; stage < config_.stages; ++stage) {
     const std::uint32_t bucket = bucket_of(key, stage);
     for (std::uint32_t way = 0; way < config_.ways; ++way) {
       const std::size_t idx = flat_index(SlotRef{stage, bucket, way});
-      if (slots_[idx].used && shadow_keys_[idx] == key) return idx;
+      if (slots_[idx].used && slots_[idx].digest == digest &&
+          shadow_hashes_[idx] == key.hash && shadow_keys_[idx] == key.tuple) {
+        return idx;
+      }
     }
   }
   return std::nullopt;
 }
 
-bool DigestCuckooTable::contains(const net::FiveTuple& key) const {
-  return find_exact(key).has_value();
-}
-
 std::optional<std::uint32_t> DigestCuckooTable::exact_value(
-    const net::FiveTuple& key) const {
+    const net::FlowKey& key) const {
   const auto idx = find_exact(key);
   if (!idx) return std::nullopt;
   return slots_[*idx].value;
@@ -72,18 +73,19 @@ std::optional<std::uint32_t> DigestCuckooTable::exact_value(
 
 bool DigestCuckooTable::update_value(const net::FiveTuple& key,
                                      std::uint32_t value) {
-  const auto idx = find_exact(key);
+  const auto idx = find_exact(net::FlowKey(key));
   if (!idx) return false;
   slots_[*idx].value = value;
   return true;
 }
 
-void DigestCuckooTable::place(const net::FiveTuple& key, std::uint32_t value,
+void DigestCuckooTable::place(const net::FlowKey& key, std::uint32_t value,
                               const SlotRef& ref) {
   const std::size_t idx = flat_index(ref);
   SR_DCHECK(!slots_[idx].used);
-  slots_[idx] = Slot{true, digest_of(key), value};
-  shadow_keys_[idx] = key;
+  slots_[idx] = Slot{digest_of(key), value, 0, true};
+  shadow_keys_[idx] = key.tuple;
+  shadow_hashes_[idx] = key.hash;
   ++size_;
 }
 
@@ -93,14 +95,15 @@ void DigestCuckooTable::move_entry(const SlotRef& from, const SlotRef& to) {
   SR_DCHECK(slots_[src].used && !slots_[dst].used);
   slots_[dst] = slots_[src];
   shadow_keys_[dst] = shadow_keys_[src];
+  shadow_hashes_[dst] = shadow_hashes_[src];
   slots_[src].used = false;
   total_moves_.inc();
 }
 
 std::optional<SlotRef> DigestCuckooTable::find_free_slot(
-    const net::FiveTuple& key) const {
+    std::uint64_t flow_hash) const {
   for (std::uint32_t stage = 0; stage < config_.stages; ++stage) {
-    const std::uint32_t bucket = bucket_of(key, stage);
+    const std::uint32_t bucket = bucket_of_hash(flow_hash, stage);
     for (std::uint32_t way = 0; way < config_.ways; ++way) {
       const SlotRef ref{stage, bucket, way};
       if (!slots_[flat_index(ref)].used) return ref;
@@ -119,20 +122,21 @@ struct BfsNode {
 }  // namespace
 
 DigestCuckooTable::InsertResult DigestCuckooTable::insert(
-    const net::FiveTuple& key, std::uint32_t value) {
+    const net::FlowKey& key, std::uint32_t value,
+    std::vector<SlotRef>* moved) {
   if (const auto idx = find_exact(key)) {
     // Re-learn of an existing connection: refresh action data.
     slots_[*idx].value = value;
-    return InsertResult{true, 0};
+    return InsertResult{true, 0, slot_ref(*idx)};
   }
   // Fast path: a free way in one of the key's buckets.
-  if (const auto free = find_free_slot(key)) {
+  if (const auto free = find_free_slot(key.hash)) {
     place(key, value, *free);
     if (trace_ != nullptr) {
       trace_->record(obs::TraceEventKind::kCuckooInsert, obs::kNoScope, value,
-                     0, net::FiveTupleHash{}(key));
+                     0, key.hash);
     }
-    return InsertResult{true, 0};
+    return InsertResult{true, 0, *free};
   }
   // BFS cuckoo over displacement chains.
   std::vector<BfsNode> arena;
@@ -152,10 +156,10 @@ DigestCuckooTable::InsertResult DigestCuckooTable::insert(
   for (std::size_t head = 0;
        head < arena.size() && arena.size() < config_.max_bfs_nodes; ++head) {
     const BfsNode node = arena[head];
-    const net::FiveTuple occupant = shadow_keys_[flat_index(node.slot)];
+    const std::uint64_t occupant = shadow_hashes_[flat_index(node.slot)];
     for (std::uint32_t stage = 0; stage < config_.stages; ++stage) {
       if (stage == node.slot.stage) continue;
-      const std::uint32_t bucket = bucket_of(occupant, stage);
+      const std::uint32_t bucket = bucket_of_hash(occupant, stage);
       // A free way here terminates the search: unwind the chain.
       for (std::uint32_t way = 0; way < config_.ways; ++way) {
         const SlotRef target{stage, bucket, way};
@@ -166,19 +170,19 @@ DigestCuckooTable::InsertResult DigestCuckooTable::insert(
           while (at >= 0) {
             const BfsNode& n = arena[static_cast<std::size_t>(at)];
             move_entry(n.slot, to);
+            if (moved != nullptr) moved->push_back(to);
             ++moves;
             to = n.slot;
             at = n.parent;
           }
           place(key, value, to);
           if (trace_ != nullptr) {
-            const std::uint64_t fid = net::FiveTupleHash{}(key);
             trace_->record(obs::TraceEventKind::kCuckooInsert, obs::kNoScope,
-                           value, moves, fid);
+                           value, moves, key.hash);
             trace_->record(obs::TraceEventKind::kCuckooEvict, obs::kNoScope,
-                           value, moves, fid);
+                           value, moves, key.hash);
           }
-          return InsertResult{true, moves};
+          return InsertResult{true, moves, to};
         }
       }
       if (!visited.insert(bucket_key(stage, bucket)).second) continue;
@@ -192,12 +196,12 @@ DigestCuckooTable::InsertResult DigestCuckooTable::insert(
   failed_inserts_.inc();
   if (trace_ != nullptr) {
     trace_->record(obs::TraceEventKind::kCuckooInsertFail, obs::kNoScope,
-                   value, 0, net::FiveTupleHash{}(key));
+                   value, 0, key.hash);
   }
-  return InsertResult{false, 0};
+  return InsertResult{};
 }
 
-bool DigestCuckooTable::erase(const net::FiveTuple& key) {
+bool DigestCuckooTable::erase(const net::FlowKey& key) {
   const auto idx = find_exact(key);
   if (!idx) return false;
   slots_[*idx].used = false;
@@ -208,11 +212,6 @@ bool DigestCuckooTable::erase(const net::FiveTuple& key) {
 void DigestCuckooTable::touch(const SlotRef& slot, std::uint64_t stamp) {
   Slot& s = slots_[flat_index(slot)];
   if (s.used) s.last_hit = stamp;
-}
-
-void DigestCuckooTable::touch_exact(const net::FiveTuple& key,
-                                    std::uint64_t stamp) {
-  if (const auto idx = find_exact(key)) slots_[*idx].last_hit = stamp;
 }
 
 std::vector<net::FiveTuple> DigestCuckooTable::collect_idle(
@@ -284,25 +283,31 @@ DigestCuckooTable::stage_occupancy(std::size_t bins) const {
   return rows;
 }
 
-bool DigestCuckooTable::relocate_for(const net::FiveTuple& arriving,
-                                     const SlotRef& slot) {
+bool DigestCuckooTable::relocate_for_hash(std::uint64_t arriving_hash,
+                                          const SlotRef& slot,
+                                          std::vector<SlotRef>* moved) {
   const std::size_t idx = flat_index(slot);
   if (!slots_[idx].used) return false;
-  const net::FiveTuple resident = shadow_keys_[idx];
+  const std::uint64_t resident = shadow_hashes_[idx];
+  const auto record = [moved](const SlotRef& to) {
+    if (moved != nullptr) moved->push_back(to);
+  };
   // A stage is conflict-free if the two keys address different buckets there
   // (the digests are equal by construction of a false positive, so bucket
   // separation is the only way to disambiguate).
   const auto conflict_free = [&](std::uint32_t stage) {
-    return bucket_of(resident, stage) != bucket_of(arriving, stage);
+    return bucket_of_hash(resident, stage) !=
+           bucket_of_hash(arriving_hash, stage);
   };
   // Pass 1: free way in a conflict-free stage.
   for (std::uint32_t stage = 0; stage < config_.stages; ++stage) {
     if (stage == slot.stage || !conflict_free(stage)) continue;
-    const std::uint32_t bucket = bucket_of(resident, stage);
+    const std::uint32_t bucket = bucket_of_hash(resident, stage);
     for (std::uint32_t way = 0; way < config_.ways; ++way) {
       const SlotRef target{stage, bucket, way};
       if (!slots_[flat_index(target)].used) {
         move_entry(slot, target);
+        record(target);
         return true;
       }
     }
@@ -312,18 +317,20 @@ bool DigestCuckooTable::relocate_for(const net::FiveTuple& arriving,
   // deeper chains are overwhelmingly unnecessary at realistic occupancies).
   for (std::uint32_t stage = 0; stage < config_.stages; ++stage) {
     if (stage == slot.stage || !conflict_free(stage)) continue;
-    const std::uint32_t bucket = bucket_of(resident, stage);
+    const std::uint32_t bucket = bucket_of_hash(resident, stage);
     for (std::uint32_t way = 0; way < config_.ways; ++way) {
       const SlotRef victim_ref{stage, bucket, way};
-      const net::FiveTuple victim = shadow_keys_[flat_index(victim_ref)];
+      const std::uint64_t victim = shadow_hashes_[flat_index(victim_ref)];
       for (std::uint32_t vstage = 0; vstage < config_.stages; ++vstage) {
         if (vstage == stage) continue;
-        const std::uint32_t vbucket = bucket_of(victim, vstage);
+        const std::uint32_t vbucket = bucket_of_hash(victim, vstage);
         for (std::uint32_t vway = 0; vway < config_.ways; ++vway) {
           const SlotRef vtarget{vstage, vbucket, vway};
           if (!slots_[flat_index(vtarget)].used) {
             move_entry(victim_ref, vtarget);
             move_entry(slot, victim_ref);
+            record(vtarget);
+            record(victim_ref);
             return true;
           }
         }

@@ -14,7 +14,12 @@
 // This is too complex for the ASIC and runs on the switch CPU — which is
 // exactly why ConnTable insertion is slow and why SilkRoad needs the
 // TransitTable to guarantee PCC (§4.3). The CPU keeps shadow state with each
-// entry's full 5-tuple; the ASIC stores only digest + value.
+// entry's full 5-tuple and flow hash; the ASIC stores only digest + value.
+//
+// Addressing: every operation takes a net::FlowKey, whose one 64-bit flow
+// hash yields the digest and each stage's bucket by a seeded mix
+// (net::derive_flow_hash). No operation on that path reads the tuple's bytes
+// again; the FiveTuple overloads build the key and forward.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +27,9 @@
 #include <vector>
 
 #include "asic/sram.h"
-#include "net/hash.h"
 #include "net/five_tuple.h"
+#include "net/flow_key.h"
+#include "net/hash.h"
 #include "obs/metrics.h"
 #include "obs/stage_profiler.h"
 #include "obs/trace.h"
@@ -75,56 +81,92 @@ class DigestCuckooTable {
 
   /// ASIC data-plane lookup: first-stage-match-wins digest comparison.
   /// May return a false-positive hit; the ASIC cannot tell.
-  std::optional<LookupResult> lookup(const net::FiveTuple& key) const;
+  std::optional<LookupResult> lookup(const net::FlowKey& key) const {
+    return lookup_hash(key.hash);
+  }
+  std::optional<LookupResult> lookup(const net::FiveTuple& key) const {
+    return lookup(net::FlowKey(key));
+  }
+  /// The same lookup from the flow hash alone: the data plane addresses the
+  /// table by digest and buckets, never by the tuple.
+  std::optional<LookupResult> lookup_hash(std::uint64_t flow_hash) const;
 
   /// CPU-side: true iff the hit at `slot` belongs to a different 5-tuple
   /// than `key` (digest collision).
   bool is_false_positive(const net::FiveTuple& key, const SlotRef& slot) const;
+  bool is_false_positive(const net::FlowKey& key, const SlotRef& slot) const {
+    return is_false_positive(key.tuple, slot);
+  }
 
   struct InsertResult {
     bool inserted = false;
     /// Entry moves the cuckoo search performed (0 = direct placement).
     std::size_t moves = 0;
+    /// Where the key's entry sits (when inserted).
+    SlotRef slot;
   };
 
   /// CPU-side insertion. Fails (inserted=false) if the BFS budget is
-  /// exhausted — the table is effectively full for this key.
-  InsertResult insert(const net::FiveTuple& key, std::uint32_t value);
+  /// exhausted — the table is effectively full for this key. When `moved` is
+  /// given, the new slot of every entry the cuckoo chain displaced is
+  /// appended to it.
+  InsertResult insert(const net::FlowKey& key, std::uint32_t value,
+                      std::vector<SlotRef>* moved = nullptr);
+  InsertResult insert(const net::FiveTuple& key, std::uint32_t value) {
+    return insert(net::FlowKey(key), value);
+  }
 
   /// CPU-side removal (connection expired). Returns false if absent.
-  bool erase(const net::FiveTuple& key);
+  bool erase(const net::FlowKey& key);
+  bool erase(const net::FiveTuple& key) { return erase(net::FlowKey(key)); }
 
   /// Drops every entry (switch crash/restore: connection state is lost while
-  /// the geometry, observers, and monotone counters survive).
+  /// the geometry, observers, and monotone counters survive). Shadow state
+  /// is only ever read behind a slot's used bit, so it is left as is.
   void clear() {
     for (auto& slot : slots_) slot = Slot{};
-    for (auto& key : shadow_keys_) key = net::FiveTuple{};
     size_ = 0;
   }
 
-  /// CPU-side exact-match presence test (uses shadow state, no digests).
-  bool contains(const net::FiveTuple& key) const;
+  /// CPU-side exact-match presence test: probes the key's candidate slots,
+  /// filters on digest and flow hash, confirms on the shadow 5-tuple.
+  bool contains(const net::FlowKey& key) const {
+    return find_exact(key).has_value();
+  }
+  bool contains(const net::FiveTuple& key) const {
+    return contains(net::FlowKey(key));
+  }
 
   /// CPU-side value read for an exactly-matching entry.
-  std::optional<std::uint32_t> exact_value(const net::FiveTuple& key) const;
+  std::optional<std::uint32_t> exact_value(const net::FlowKey& key) const;
+  std::optional<std::uint32_t> exact_value(const net::FiveTuple& key) const {
+    return exact_value(net::FlowKey(key));
+  }
 
   /// CPU-side in-place action-data update for an exactly-matching entry.
   bool update_value(const net::FiveTuple& key, std::uint32_t value);
 
   /// §4.2 false-positive resolution: relocates the *existing* entry at
-  /// `slot` to another stage so that `arriving` no longer falsely hits it
-  /// (their buckets differ under that stage's hash). Returns false when no
-  /// conflict-free placement exists within the BFS budget.
-  bool relocate_for(const net::FiveTuple& arriving, const SlotRef& slot);
+  /// `slot` to another stage so that the flow hashing to `arriving_hash` no
+  /// longer falsely hits it (their buckets differ under that stage's hash).
+  /// Returns false when no conflict-free placement exists within one level
+  /// of displacement. When `moved` is given, the new slot of every entry the
+  /// call moved is appended to it.
+  bool relocate_for_hash(std::uint64_t arriving_hash, const SlotRef& slot,
+                         std::vector<SlotRef>* moved = nullptr);
+  bool relocate_for(const net::FlowKey& arriving, const SlotRef& slot,
+                    std::vector<SlotRef>* moved = nullptr) {
+    return relocate_for_hash(arriving.hash, slot, moved);
+  }
+  bool relocate_for(const net::FiveTuple& arriving, const SlotRef& slot) {
+    return relocate_for(net::FlowKey(arriving), slot);
+  }
 
   // --- Activity tracking (hardware hit bits, sampled by the CPU) -----------
 
   /// Records data-plane activity on an entry. ASICs keep a per-entry hit
   /// indication the control plane samples to expire idle connections.
   void touch(const SlotRef& slot, std::uint64_t stamp);
-
-  /// CPU-side activity stamp by exact key (e.g., at insertion time).
-  void touch_exact(const net::FiveTuple& key, std::uint64_t stamp);
 
   /// Collects the keys of entries whose last activity stamp is strictly
   /// older than `older_than` (the CPU's aging sweep), in slot order.
@@ -199,11 +241,40 @@ class DigestCuckooTable {
     trace_ = trace;
   }
 
-  /// Bucket index of `key` at `stage` (exposed for tests/analysis).
-  std::uint32_t bucket_of(const net::FiveTuple& key, std::uint32_t stage) const;
-  /// The digest stored for `key` (exposed for tests/analysis).
+  /// Bucket index of `key` at `stage`: mix64(flow hash ^ stage seed) mod
+  /// the bucket count.
+  std::uint32_t bucket_of(const net::FlowKey& key, std::uint32_t stage) const {
+    return bucket_of_hash(key.hash, stage);
+  }
+  std::uint32_t bucket_of(const net::FiveTuple& key,
+                          std::uint32_t stage) const {
+    return bucket_of(net::FlowKey(key), stage);
+  }
+  std::uint32_t bucket_of_hash(std::uint64_t flow_hash,
+                               std::uint32_t stage) const noexcept {
+    return static_cast<std::uint32_t>(
+        net::derive_flow_hash(flow_hash, stage_seeds_[stage]) %
+        config_.buckets_per_stage);
+  }
+  /// The digest stored for `key`: a slice of mix64(flow hash ^ digest seed),
+  /// equal to net::connection_digest(key.tuple, digest_bits).
+  std::uint32_t digest_of(const net::FlowKey& key) const {
+    return digest_of_hash(key.hash);
+  }
   std::uint32_t digest_of(const net::FiveTuple& key) const {
-    return net::connection_digest(key, config_.digest_bits);
+    return digest_of(net::FlowKey(key));
+  }
+  std::uint32_t digest_of_hash(std::uint64_t flow_hash) const noexcept {
+    return net::flow_digest(flow_hash, config_.digest_bits);
+  }
+
+  /// Flow hash of the entry at `slot` (CPU shadow state; meaningless for an
+  /// empty slot).
+  std::uint64_t flow_hash_at(const SlotRef& slot) const {
+    return shadow_hashes_[flat_index(slot)];
+  }
+  bool occupied(const SlotRef& slot) const {
+    return slots_[flat_index(slot)].used;
   }
 
  private:
@@ -211,13 +282,16 @@ class DigestCuckooTable {
   /// on purpose, proving the invariant auditor can fail.
   friend struct silkroad::check::TestingHooks;
 
+  /// 16 bytes, so a 4-way bucket is one 64-byte line's worth.
   struct Slot {
-    bool used = false;
     std::uint32_t digest = 0;
     std::uint32_t value = 0;
-    /// Last data-plane activity stamp (hit bit + CPU sampling epoch).
-    std::uint64_t last_hit = 0;
+    /// Last data-plane activity stamp (hit bit + CPU sampling epoch). Sim
+    /// time in ns, which stays far below 2^63.
+    std::uint64_t last_hit : 63 = 0;
+    std::uint64_t used : 1 = 0;
   };
+  static_assert(sizeof(Slot) == 16);
 
   std::size_t flat_index(const SlotRef& ref) const noexcept {
     return (static_cast<std::size_t>(ref.stage) * config_.buckets_per_stage +
@@ -231,24 +305,25 @@ class DigestCuckooTable {
                    static_cast<std::uint32_t>(word % config_.buckets_per_stage),
                    static_cast<std::uint32_t>(index % config_.ways)};
   }
-  std::uint64_t stage_seed(std::uint32_t stage) const noexcept {
-    return net::mix64(config_.hash_seed + 0x9E37 * (stage + 1));
-  }
-
   /// Places `key` in a free way of its bucket at some stage, if one exists.
-  std::optional<SlotRef> find_free_slot(const net::FiveTuple& key) const;
+  std::optional<SlotRef> find_free_slot(std::uint64_t flow_hash) const;
   /// Flat index of the slot holding exactly `key`: probes the key's
-  /// stages x ways candidate slots and compares shadow keys (every entry
-  /// lives in one of its own candidates, cuckoo moves included).
-  std::optional<std::size_t> find_exact(const net::FiveTuple& key) const;
+  /// stages x ways candidate slots, filters on digest and flow hash, and
+  /// confirms on the shadow tuple (every entry lives in one of its own
+  /// candidates, cuckoo moves included).
+  std::optional<std::size_t> find_exact(const net::FlowKey& key) const;
 
-  void place(const net::FiveTuple& key, std::uint32_t value, const SlotRef& ref);
+  void place(const net::FlowKey& key, std::uint32_t value, const SlotRef& ref);
   void move_entry(const SlotRef& from, const SlotRef& to);
 
   CuckooConfig config_;
+  /// Per-stage addressing seeds, derived from config_.hash_seed.
+  std::vector<std::uint64_t> stage_seeds_;
   std::vector<Slot> slots_;
-  /// CPU shadow: full 5-tuple per occupied slot (parallel to slots_).
+  /// CPU shadow, parallel to slots_: each occupied slot's full 5-tuple and
+  /// its flow hash (cuckoo moves re-address an occupant from the hash alone).
   std::vector<net::FiveTuple> shadow_keys_;
+  std::vector<std::uint64_t> shadow_hashes_;
   /// Installed entries, kept by insert/erase (the auditor checks it against
   /// the occupied-slot count).
   std::size_t size_ = 0;

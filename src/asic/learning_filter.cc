@@ -2,14 +2,14 @@
 
 namespace silkroad::asic {
 
-void LearningFilter::learn(const net::FiveTuple& flow, std::uint32_t value) {
+void LearningFilter::learn(const net::FlowKey& key, std::uint32_t value) {
   total_events_.inc();
-  if (pending_.contains(flow)) {
+  const LearnEvent event{key.tuple, value, sim_.now(), key.hash};
+  if (!pending_.try_emplace(key, event).second) {
     duplicate_events_.inc();
     return;
   }
-  pending_.emplace(flow, LearnEvent{flow, value, sim_.now()});
-  order_.push_back(flow);
+  order_.push_back(key);
   if (pending_.size() >= config_.capacity) {
     flush_now();
     return;
@@ -25,8 +25,8 @@ void LearningFilter::flush_now() {
   if (pending_.empty()) return;
   std::vector<LearnEvent> batch;
   batch.reserve(order_.size());
-  for (const auto& flow : order_) {
-    const auto it = pending_.find(flow);
+  for (const auto& key : order_) {
+    const auto it = pending_.find(key);
     if (it == pending_.end()) continue;
     if (drop_hook_ && drop_hook_(it->second)) {
       dropped_events_.inc();

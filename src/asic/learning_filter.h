@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "net/five_tuple.h"
-#include "net/hash.h"
+#include "net/flow_key.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
 
@@ -26,6 +26,11 @@ struct LearnEvent {
   net::FiveTuple flow;
   std::uint32_t value = 0;
   sim::Time first_seen = 0;
+  /// The flow's hash (net::flow_hash), taken once at ingress and carried to
+  /// the CPU so the insertion need not hash the tuple again.
+  std::uint64_t flow_hash = 0;
+
+  net::FlowKey key() const noexcept { return {flow, flow_hash}; }
 };
 
 class LearningFilter {
@@ -56,12 +61,13 @@ class LearningFilter {
   /// Data-plane hook: called on a ConnTable miss by a flow not yet pending.
   /// Duplicate notifications for the same flow are absorbed (the hardware
   /// dedups by key). Flushes synchronously when the filter fills.
-  void learn(const net::FiveTuple& flow, std::uint32_t value);
+  void learn(const net::FlowKey& key, std::uint32_t value);
+  void learn(const net::FiveTuple& flow, std::uint32_t value) {
+    learn(net::FlowKey(flow), value);
+  }
 
   /// True if the flow currently sits in the filter awaiting flush.
-  bool pending(const net::FiveTuple& flow) const {
-    return pending_.contains(flow);
-  }
+  bool pending(const net::FlowKey& key) const { return pending_.contains(key); }
 
   /// Forces an immediate flush (used at teardown and in tests).
   void flush_now();
@@ -87,8 +93,8 @@ class LearningFilter {
   sim::Simulator& sim_;
   Config config_;
   FlushSink sink_;
-  std::unordered_map<net::FiveTuple, LearnEvent, net::FiveTupleHash> pending_;
-  std::vector<net::FiveTuple> order_;  // flush in arrival order
+  std::unordered_map<net::FlowKey, LearnEvent, net::FlowKeyHash> pending_;
+  std::vector<net::FlowKey> order_;  // flush in arrival order
   sim::EventHandle timeout_event_;
   DropHook drop_hook_;
   obs::Counter total_events_;

@@ -45,7 +45,8 @@ std::vector<Violation> InvariantAuditor::audit() const {
 
 void InvariantAuditor::check_version_liveness(
     std::vector<Violation>& out) const {
-  for (const auto& [flow, info] : sw_.pending_) {
+  for (const auto& [key, info] : sw_.pending_) {
+    const net::FiveTuple& flow = key.tuple;
     if (info.dead) continue;  // eviction may have destroyed its version
     const auto* state = sw_.find_vip(info.vip);
     if (state == nullptr) {
@@ -117,7 +118,8 @@ void InvariantAuditor::check_refcounts(std::vector<Violation>& out) const {
                                  vip.to_string(),
                              vip));
         }
-        if (!sw_.pending_.contains(flow) && !sw_.conn_table_.contains(flow) &&
+        const net::FlowKey key(flow);
+        if (!sw_.pending_.contains(key) && !sw_.conn_table_.contains(key) &&
             !sw_.degraded_flows_.contains(flow)) {
           out.push_back(make(
               "refcount-match",
@@ -141,7 +143,7 @@ void InvariantAuditor::check_version_recycling(
   for (const auto& entry : sw_.conn_table_.entries()) {
     referenced[entry.key.dst].insert(entry.value);
   }
-  for (const auto& [flow, info] : sw_.pending_) {
+  for (const auto& [key, info] : sw_.pending_) {
     if (!info.dead) referenced[info.vip].insert(info.version);
   }
   for (const auto& [vip, state] : sw_.vips_) {
@@ -254,7 +256,7 @@ void InvariantAuditor::check_transit_window(std::vector<Violation>& out) const {
     }
   }
   for (const auto& flow : sw_.transit_members_) {
-    if (!sw_.pending_.contains(flow)) {
+    if (!sw_.pending_.contains(net::FlowKey(flow))) {
       out.push_back(make("transit-window",
                          "transit member " + flow_str(flow) +
                              " has no pending insertion and cannot resolve",
@@ -262,7 +264,7 @@ void InvariantAuditor::check_transit_window(std::vector<Violation>& out) const {
     }
   }
   for (const auto& flow : sw_.awaiting_pre_) {
-    if (!sw_.pending_.contains(flow)) {
+    if (!sw_.pending_.contains(net::FlowKey(flow))) {
       out.push_back(make("transit-window",
                          "pre-update flow " + flow_str(flow) +
                              " has no pending insertion and cannot resolve",

@@ -1,6 +1,7 @@
 #include "core/silkroad_switch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "check/sr_check.h"
@@ -45,6 +46,10 @@ SilkRoadSwitch::SilkRoadSwitch(sim::Simulator& simulator, const Config& config)
       cpu_(simulator, config.cpu),
       transit_(config.transit_table_bytes, config.transit_hashes),
       capacity_(config.capacity) {
+  digest_groups_.resize(std::min(
+      std::bit_floor(std::max<std::size_t>(
+          1, conn_table_.capacity() / kSlotsPerDigestGroup)),
+      std::size_t{1} << std::min(config.conn_table.digest_bits, 32u)));
   init_metrics();
   init_capacity();
   conn_table_.bind_observer(&conn_profiler_, &trace_);
@@ -491,6 +496,7 @@ const VipVersionManager* SilkRoadSwitch::version_manager(
 std::uint32_t SilkRoadSwitch::version_for_miss(const net::Endpoint& vip,
                                                VipState& state,
                                                const net::Packet& packet,
+                                               const net::FlowKey& key,
                                                bool* redirected_to_cpu) {
   const std::uint32_t current = state.versions->current_version();
   if (phase_ == Phase::kIdle || !(update_vip_ == vip)) return current;
@@ -503,7 +509,7 @@ std::uint32_t SilkRoadSwitch::version_for_miss(const net::Endpoint& vip,
       // The CPU-side completion gate only tracks flows that will resolve via
       // a pending insertion: a FIN of an untracked flow still lands in the
       // bloom (the ASIC cannot tell), but it must not wedge Step2.
-      if (!packet.fin || pending_.contains(packet.flow)) {
+      if (!packet.fin || pending_.contains(key)) {
         transit_members_.insert(packet.flow);
       }
     }
@@ -513,8 +519,7 @@ std::uint32_t SilkRoadSwitch::version_for_miss(const net::Endpoint& vip,
   // Step 2 (read-only): the flip is done, `current` is the new version.
   if (!config_.use_transit_table) return current;
   if (transit_.maybe_contains(packet.flow)) {
-    if (transit_members_.contains(packet.flow) ||
-        pending_.contains(packet.flow)) {
+    if (transit_members_.contains(packet.flow) || pending_.contains(key)) {
       return update_old_version_;  // genuine member: pinned to the old pool
     }
     // Bloom false positive: a brand-new flow matched the filter and is
@@ -525,7 +530,7 @@ std::uint32_t SilkRoadSwitch::version_for_miss(const net::Endpoint& vip,
     // against.
     c_.transit_false_positives->inc();
     trace_.record(obs::TraceEventKind::kTransitFalsePositive, state.trace_scope,
-                  update_old_version_, net::FiveTupleHash{}(packet.flow));
+                  update_old_version_, key.hash);
     if (packet.syn && redirected_to_cpu != nullptr) {
       *redirected_to_cpu = true;
     }
@@ -535,50 +540,84 @@ std::uint32_t SilkRoadSwitch::version_for_miss(const net::Endpoint& vip,
 }
 
 void SilkRoadSwitch::learn_new_flow(const net::Endpoint& vip, VipState& state,
-                                    const net::FiveTuple& flow,
+                                    const net::FlowKey& key,
                                     std::uint32_t version,
                                     const net::Endpoint& dip) {
   c_.learns->inc();
   trace_.record(obs::TraceEventKind::kLearn, state.trace_scope, version,
-                net::FiveTupleHash{}(flow));
-  learning_filter_.learn(flow, version);
-  pending_.emplace(flow, PendingConn{vip, version, false, sim_.now()});
+                key.hash);
+  learning_filter_.learn(key, version);
+  pending_.emplace(key, PendingConn{vip, version, sim_.now()});
   state.versions->acquire(version);
-  state.conns_by_version[version].insert(flow);
+  state.conns_by_version[version].insert(key.tuple);
   if (config_.data_plane_telemetry) {
     DipConnHandles& handles = dip_handles(state, vip, dip);
     handles.new_conns->inc();
     handles.active->add(1.0);
   }
-  track_digest(flow);
+  track_digest(key);
   arm_relearn_sweep();
 }
 
-void SilkRoadSwitch::track_digest(const net::FiveTuple& flow) {
-  digest_groups_[conn_table_.digest_of(flow)].push_back(flow);
+void SilkRoadSwitch::track_digest(const net::FlowKey& key) {
+  digest_group(conn_table_.digest_of(key)).push_back(key.hash);
 }
 
-void SilkRoadSwitch::untrack_digest(const net::FiveTuple& flow) {
-  const auto it = digest_groups_.find(conn_table_.digest_of(flow));
-  if (it == digest_groups_.end()) return;
-  auto& group = it->second;
-  group.erase(std::remove(group.begin(), group.end(), flow), group.end());
-  if (group.empty()) digest_groups_.erase(it);
+void SilkRoadSwitch::untrack_digest(const net::FlowKey& key) {
+  std::erase(digest_group(conn_table_.digest_of(key)), key.hash);
 }
 
-void SilkRoadSwitch::resolve_digest_conflicts(const net::FiveTuple& inserted) {
-  const auto it = digest_groups_.find(conn_table_.digest_of(inserted));
-  if (it == digest_groups_.end()) return;
-  // Digest collisions are rare (~1e-4 of flows at 16 bits), so this loop is
-  // almost always a single iteration over the inserted flow itself.
-  for (const auto& flow : it->second) {
-    const auto hit = conn_table_.lookup(flow);
-    if (hit && conn_table_.is_false_positive(flow, hit->slot)) {
-      if (!conn_table_.relocate_for(flow, hit->slot)) {
-        c_.relocation_failures->inc();
-        trace_.record(obs::TraceEventKind::kRelocationFail);
-      }
+template <typename Fn>
+void SilkRoadSwitch::for_each_exposed(const asic::SlotRef& slot,
+                                      Fn&& fn) const {
+  if (!conn_table_.occupied(slot)) return;
+  const std::uint64_t own = conn_table_.flow_hash_at(slot);
+  fn(own);
+  const std::uint32_t digest = conn_table_.digest_of_hash(own);
+  // ~N/2^digest_bits members, each one mix and one modulo; a member whose
+  // bucket at this stage differs never probes this word.
+  for (const std::uint64_t flow : digest_group(digest)) {
+    if (flow != own &&
+        conn_table_.bucket_of_hash(flow, slot.stage) == slot.bucket &&
+        conn_table_.digest_of_hash(flow) == digest) {
+      fn(flow);
     }
+  }
+}
+
+std::optional<asic::SlotRef> SilkRoadSwitch::shadowing_slot(
+    std::uint64_t flow_hash) const {
+  const auto hit = conn_table_.lookup_hash(flow_hash);
+  if (!hit || conn_table_.flow_hash_at(hit->slot) == flow_hash) {
+    return std::nullopt;
+  }
+  return hit->slot;
+}
+
+void SilkRoadSwitch::note_relocation_failure(std::uint32_t scope) {
+  c_.relocation_failures->inc();
+  trace_.record(obs::TraceEventKind::kRelocationFail, scope);
+}
+
+void SilkRoadSwitch::repair_placements(
+    const std::vector<asic::SlotRef>& placed) {
+  std::vector<asic::SlotRef> moved;
+  for (const asic::SlotRef& slot : placed) {
+    for_each_exposed(slot, [&](std::uint64_t flow) {
+      const auto hit = shadowing_slot(flow);
+      if (!hit) return;
+      // Relocating one shadowing entry can expose the flow to a later
+      // same-digest entry; that is a failure too.
+      if (!conn_table_.relocate_for_hash(flow, *hit, &moved) ||
+          shadowing_slot(flow)) {
+        note_relocation_failure();
+      }
+    });
+  }
+  for (const asic::SlotRef& slot : moved) {
+    for_each_exposed(slot, [&](std::uint64_t flow) {
+      if (shadowing_slot(flow)) note_relocation_failure();
+    });
   }
 }
 
@@ -649,9 +688,12 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
   }
 
   const net::Endpoint vip = packet.flow.dst;
+  // The packet's one pass over its tuple: digest, stage buckets, the CPU's
+  // digest index and trace flow ids all derive from key.hash.
+  const net::FlowKey key(packet.flow);
 
-  if (auto hit = conn_table_.lookup(packet.flow)) {
-    if (conn_table_.is_false_positive(packet.flow, hit->slot)) {
+  if (auto hit = conn_table_.lookup(key)) {
+    if (conn_table_.is_false_positive(key, hit->slot)) {
       if (packet.syn) {
         // §4.2: a SYN hitting an existing entry signals a digest collision.
         // The switch CPU relocates the resident entry to another stage and
@@ -661,33 +703,43 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
         c_.syn_false_positives->inc();
         trace_.record(obs::TraceEventKind::kDigestCollision,
                       state->trace_scope, hit->value,
-                      conn_table_.digest_of(packet.flow),
-                      net::FiveTupleHash{}(packet.flow));
+                      conn_table_.digest_of(key), key.hash);
         result.redirected_to_cpu = true;
         result.added_latency += config_.syn_redirect_delay;
-        if (!conn_table_.relocate_for(packet.flow, hit->slot)) {
-          c_.relocation_failures->inc();
-          trace_.record(obs::TraceEventKind::kRelocationFail,
-                        state->trace_scope);
+        // The re-injected SYN can false-hit a further colliding entry; each
+        // is relocated in turn (at most one per stage).
+        std::vector<asic::SlotRef> moved;
+        std::optional<asic::SlotRef> shadow = hit->slot;
+        for (std::size_t i = 0; shadow && i < config_.conn_table.stages; ++i) {
+          if (!conn_table_.relocate_for(key, *shadow, &moved)) break;
+          shadow = shadowing_slot(key.hash);
+        }
+        if (shadow) {
+          note_relocation_failure(state->trace_scope);
           // No conflict-free placement: pin the new flow in the slow-path
           // exact table instead.
           const std::uint32_t version =
-              version_for_miss(vip, *state, packet, nullptr);
+              version_for_miss(vip, *state, packet, key, nullptr);
           const auto dip = state->versions->select(version, packet.flow);
           if (dip) {
             software_table_[packet.flow] = *dip;
             c_.software_fallback_conns->inc();
             trace_.record(obs::TraceEventKind::kSoftwareFallback,
-                          state->trace_scope, version,
-                          net::FiveTupleHash{}(packet.flow));
+                          state->trace_scope, version, key.hash);
           }
           // A Step1 record for this flow can never resolve (it has no
           // pending insertion): drop it from the completion gate.
           transit_members_.erase(packet.flow);
           result.dip = dip;
+          repair_placements(moved);
           return result;
         }
-        // Fall through to the miss path below.
+        // The re-injected SYN follows the miss path. Moved entries can
+        // shadow flows at their new slots, this one included, so they are
+        // checked once it is learned.
+        result = serve_miss(packet, key, *state, result);
+        repair_placements(moved);
+        return result;
       } else {
         // Mid-flow false hit: the ASIC cannot distinguish it, so the packet
         // follows the collided entry's version (a pending flow's transient
@@ -699,12 +751,12 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
                                         packet.flow);
         }
         if (packet.fin) {
-          if (const auto p = pending_.find(packet.flow); p != pending_.end()) {
+          if (const auto p = pending_.find(key); p != pending_.end()) {
             p->second.dead = true;
-          } else if (const auto own = conn_table_.exact_value(packet.flow)) {
+          } else if (const auto own = conn_table_.exact_value(key)) {
             // The flow's own entry sits behind the colliding one: erase it
             // too, or it outlives the connection.
-            enqueue_erase(packet.flow, vip, *own);
+            enqueue_erase(key, vip, *own);
           }
         }
         result.dip = dip;
@@ -714,12 +766,18 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
       c_.conn_table_hits->inc();
       conn_table_.touch(hit->slot, sim_.now());  // hardware hit bit
       result.dip = state->versions->select(hit->value, packet.flow);
-      if (packet.fin) enqueue_erase(packet.flow, vip, hit->value);
+      if (packet.fin) enqueue_erase(key, vip, hit->value);
       return result;
     }
   }
+  return serve_miss(packet, key, *state, result);
+}
 
-  // --- ConnTable miss --------------------------------------------------------
+lb::PacketResult SilkRoadSwitch::serve_miss(const net::Packet& packet,
+                                            const net::FlowKey& key,
+                                            VipState& state,
+                                            lb::PacketResult result) {
+  const net::Endpoint vip = packet.flow.dst;
   c_.conn_table_misses->inc();
 
   if (const auto sw = software_table_.find(packet.flow);
@@ -735,7 +793,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
       dg != degraded_flows_.end()) {
     // Shed/degraded admission under kPinVersion: served version-routed from
     // the pinned admission-time version, no ConnTable entry.
-    result.dip = state->versions->select(dg->second.version, packet.flow);
+    result.dip = state.versions->select(dg->second.version, packet.flow);
     if (packet.fin) {
       const DegradedConn conn = dg->second;
       degraded_flows_.erase(dg);
@@ -744,17 +802,17 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
     return result;
   }
 
-  if (packet.fin || pending_.contains(packet.flow)) {
+  if (packet.fin || pending_.contains(key)) {
     const bool was_redirected = result.redirected_to_cpu;
     const std::uint32_t version =
-        version_for_miss(vip, *state, packet, &result.redirected_to_cpu);
+        version_for_miss(vip, state, packet, key, &result.redirected_to_cpu);
     if (result.redirected_to_cpu && !was_redirected) {
       result.added_latency += config_.syn_redirect_delay;
     }
-    result.dip = state->versions->select(version, packet.flow);
+    result.dip = state.versions->select(version, packet.flow);
     if (packet.fin) {
       // Flow ended before its entry landed: cancel the pending insertion.
-      if (const auto p = pending_.find(packet.flow); p != pending_.end()) {
+      if (const auto p = pending_.find(key); p != pending_.end()) {
         p->second.dead = true;
       }
     }
@@ -768,18 +826,18 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
   const bool queue_full = config_.max_pending_inserts > 0 &&
                           pending_.size() >= config_.max_pending_inserts;
   if (degraded_ || queue_full) {
-    result.dip = admit_without_insert(vip, *state, packet.flow,
+    result.dip = admit_without_insert(vip, state, packet.flow,
                                       /*shed=*/queue_full && !degraded_);
     return result;
   }
 
   const bool was_redirected = result.redirected_to_cpu;
   const std::uint32_t version =
-      version_for_miss(vip, *state, packet, &result.redirected_to_cpu);
+      version_for_miss(vip, state, packet, key, &result.redirected_to_cpu);
   if (result.redirected_to_cpu && !was_redirected) {
     result.added_latency += config_.syn_redirect_delay;
   }
-  const auto dip = state->versions->select(version, packet.flow);
+  const auto dip = state.versions->select(version, packet.flow);
   if (!dip) {
     // Empty pool: the flow is not learned, so its Step1 record (if any) must
     // not gate the in-flight update's completion.
@@ -787,7 +845,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
     return result;
   }
   result.dip = dip;
-  learn_new_flow(vip, *state, packet.flow, version, *dip);
+  learn_new_flow(vip, state, key, version, *dip);
   return result;
 }
 
@@ -799,17 +857,19 @@ void SilkRoadSwitch::on_learning_flush(
     const std::vector<asic::LearnEvent>& batch) {
   c_.learn_batch_size->record(batch.size());
   for (const auto& event : batch) {
-    if (const auto p = pending_.find(event.flow); p != pending_.end()) {
+    if (const auto p = pending_.find(event.key()); p != pending_.end()) {
       p->second.enqueued = true;  // notification survived the channel
     }
     // Shard by flow so multi-pipe CPUs keep per-flow operation order (§5.2).
     cpu_.enqueue([this, event] { complete_insertion(event); },
-                 net::FiveTupleHash{}(event.flow));
+                 event.flow_hash);
   }
 }
 
 void SilkRoadSwitch::complete_insertion(const asic::LearnEvent& event) {
-  const auto p = pending_.find(event.flow);
+  const net::FlowKey key = event.key();
+  SR_DCHECK(key.hash == net::flow_hash(event.flow));
+  const auto p = pending_.find(key);
   if (p == pending_.end()) return;  // already resolved (evicted / duplicate)
   const PendingConn info = p->second;
   pending_.erase(p);
@@ -818,30 +878,32 @@ void SilkRoadSwitch::complete_insertion(const asic::LearnEvent& event) {
 
   if (info.dead) {
     // The flow finished while queued; nothing to install.
-    untrack_digest(event.flow);
+    untrack_digest(key);
     release_conn(info.vip, event.flow, info.version);
   } else {
     // The insert-fail fault hook forces the BFS-budget-exhausted outcome so
     // chaos runs exercise the software-fallback path deterministically.
+    std::vector<asic::SlotRef> placed;
     const auto res = (insert_fail_hook_ && insert_fail_hook_(event.flow))
                          ? asic::DigestCuckooTable::InsertResult{}
-                         : conn_table_.insert(event.flow, info.version);
+                         : conn_table_.insert(key, info.version, &placed);
     if (res.inserted) {
       c_.inserts->inc();
       c_.insert_latency_ns->record(sim_.now() - info.learned_at);
-      conn_table_.touch_exact(event.flow, sim_.now());
-      resolve_digest_conflicts(event.flow);
+      conn_table_.touch(res.slot, sim_.now());
+      // The new entry first, then every entry its cuckoo chain moved.
+      placed.insert(placed.begin(), res.slot);
+      repair_placements(placed);
       arm_aging_sweep();
     } else {
       c_.insert_failures->inc();
-      untrack_digest(event.flow);
+      untrack_digest(key);
       const auto dip = state->versions->select(info.version, event.flow);
       if (dip) {
         software_table_[event.flow] = *dip;
         c_.software_fallback_conns->inc();
         trace_.record(obs::TraceEventKind::kSoftwareFallback,
-                      state->trace_scope, info.version,
-                      net::FiveTupleHash{}(event.flow));
+                      state->trace_scope, info.version, key.hash);
       }
       release_conn(info.vip, event.flow, info.version);
     }
@@ -852,19 +914,19 @@ void SilkRoadSwitch::complete_insertion(const asic::LearnEvent& event) {
   poll_capacity();
 }
 
-void SilkRoadSwitch::enqueue_erase(const net::FiveTuple& flow,
+void SilkRoadSwitch::enqueue_erase(const net::FlowKey& key,
                                    const net::Endpoint& vip,
                                    std::uint32_t version) {
   cpu_.enqueue(
-      [this, flow, vip, version] {
-        aging_queue_.erase(flow);
-        if (conn_table_.erase(flow)) {
+      [this, key, vip, version] {
+        aging_queue_.erase(key.tuple);
+        if (conn_table_.erase(key)) {
           c_.erases->inc();
-          untrack_digest(flow);
-          release_conn(vip, flow, version);
+          untrack_digest(key);
+          release_conn(vip, key.tuple, version);
         }
       },
-      net::FiveTupleHash{}(flow));
+      key.hash);
 }
 
 void SilkRoadSwitch::release_conn(const net::Endpoint& vip,
@@ -999,8 +1061,8 @@ void SilkRoadSwitch::try_start_next_update() {
                      update_new_version_);
     awaiting_pre_.clear();
     transit_members_.clear();
-    for (const auto& [flow, info] : pending_) {
-      if (info.vip == update.vip && !info.dead) awaiting_pre_.insert(flow);
+    for (const auto& [key, info] : pending_) {
+      if (info.vip == update.vip && !info.dead) awaiting_pre_.insert(key.tuple);
     }
     if (awaiting_pre_.empty()) {
       execute_flip();
@@ -1096,11 +1158,12 @@ bool SilkRoadSwitch::evict_version_for(const net::Endpoint& /*vip*/,
           }
         }
       }
-      if (conn_table_.erase(flow)) {
+      const net::FlowKey key(flow);
+      if (conn_table_.erase(key)) {
         c_.erases->inc();
-        untrack_digest(flow);
+        untrack_digest(key);
       }
-      if (const auto p = pending_.find(flow); p != pending_.end()) {
+      if (const auto p = pending_.find(key); p != pending_.end()) {
         p->second.dead = true;  // insertion will be skipped
       }
       degraded_flows_.erase(flow);  // now exact-pinned, not version-pinned
@@ -1125,15 +1188,16 @@ void SilkRoadSwitch::aging_sweep() {
     const sim::Time cutoff = now - config_.idle_timeout;
     for (const auto& flow : conn_table_.collect_idle(cutoff)) {
       if (!aging_queue_.insert(flow).second) continue;  // erase already queued
-      const auto version = conn_table_.exact_value(flow);
+      const net::FlowKey key(flow);
+      const auto version = conn_table_.exact_value(key);
       if (!version) continue;
       c_.aged_out->inc();
       if (const VipState* state = find_vip(flow.dst); state != nullptr) {
         trace_.record(obs::TraceEventKind::kAgedOut, state->trace_scope,
-                      *version, net::FiveTupleHash{}(flow));
+                      *version, key.hash);
       }
       // The VIP is the flow's destination endpoint by construction.
-      enqueue_erase(flow, flow.dst, *version);
+      enqueue_erase(key, flow.dst, *version);
     }
   }
   if (conn_table_.size() > 0 || !pending_.empty()) {
@@ -1261,12 +1325,12 @@ void SilkRoadSwitch::relearn_sweep() {
   const sim::Time now = sim_.now();
   const sim::Time cutoff =
       now >= config_.relearn_timeout ? now - config_.relearn_timeout : 0;
-  for (auto& [flow, info] : pending_) {
+  for (auto& [key, info] : pending_) {
     // Dead entries are re-enqueued too: a flow that FINs after its
     // notification was dropped still needs complete_insertion to release its
     // version refcount and drain the update completion gate.
     if (info.enqueued || info.learned_at > cutoff) continue;
-    if (learning_filter_.pending(flow)) continue;  // still buffered, not lost
+    if (learning_filter_.pending(key)) continue;  // still buffered, not lost
     // The notification was dropped between the filter and the CPU (the
     // filter clears its own state at flush time): re-enqueue the insertion
     // directly from the CPU's shadow record.
@@ -1274,13 +1338,14 @@ void SilkRoadSwitch::relearn_sweep() {
     c_.relearns->inc();
     if (const VipState* state = find_vip(info.vip); state != nullptr) {
       trace_.record(obs::TraceEventKind::kRelearn, state->trace_scope,
-                    info.version, net::FiveTupleHash{}(flow));
+                    info.version, key.hash);
     }
     cpu_.enqueue(
-        [this, event = asic::LearnEvent{flow, info.version, info.learned_at}] {
+        [this, event = asic::LearnEvent{key.tuple, info.version,
+                                        info.learned_at, key.hash}] {
           complete_insertion(event);
         },
-        net::FiveTupleHash{}(flow));
+        key.hash);
   }
   if (!pending_.empty()) arm_relearn_sweep();
 }
@@ -1306,7 +1371,7 @@ void SilkRoadSwitch::reset() {
   pending_.clear();
   software_table_.clear();
   degraded_flows_.clear();
-  digest_groups_.clear();
+  digest_groups_.assign(digest_groups_.size(), {});
   aging_queue_.clear();
   update_queue_.clear();
   awaiting_pre_.clear();

@@ -33,6 +33,7 @@
 #include "asic/switch_cpu.h"
 #include "core/version_manager.h"
 #include "lb/load_balancer.h"
+#include "net/flow_key.h"
 #include "obs/capacity.h"
 #include "obs/metrics.h"
 #include "obs/sampling_profiler.h"
@@ -312,11 +313,11 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   struct PendingConn {
     net::Endpoint vip;
     std::uint32_t version = 0;
-    /// FIN observed before the entry landed: skip the insertion.
-    bool dead = false;
     /// When the flow entered the learning filter; the insert-latency
     /// histogram records install-time minus this.
     sim::Time learned_at = 0;
+    /// FIN observed before the entry landed: skip the insertion.
+    bool dead = false;
     /// The learning notification reached the CPU queue. False past
     /// relearn_timeout means the notification was lost (see relearn_sweep).
     bool enqueued = false;
@@ -335,6 +336,12 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// Body of process_packet(); the public override wraps it to record the
   /// packet-latency histogram exactly once per packet.
   lb::PacketResult process_packet_impl(const net::Packet& packet);
+  /// The ConnTable-miss half of the pipeline: software/degraded pins,
+  /// pending flows, and admission + learning of new flows. `result` carries
+  /// the latency and redirect already charged to the packet.
+  lb::PacketResult serve_miss(const net::Packet& packet,
+                              const net::FlowKey& key, VipState& state,
+                              lb::PacketResult result);
 
   /// Creates the registry-backed counter handles and registers the pull
   /// (callback) gauges derived from live structures. Called once from the
@@ -353,10 +360,11 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// applying the Step1/Step2 TransitTable logic when `vip` is under update.
   std::uint32_t version_for_miss(const net::Endpoint& vip, VipState& state,
                                  const net::Packet& packet,
+                                 const net::FlowKey& key,
                                  bool* redirected_to_cpu);
 
   void learn_new_flow(const net::Endpoint& vip, VipState& state,
-                      const net::FiveTuple& flow, std::uint32_t version,
+                      const net::FlowKey& key, std::uint32_t version,
                       const net::Endpoint& dip);
   /// Per-DIP telemetry handles for (vip, dip), registering the series on
   /// first use. Only called when data_plane_telemetry is on.
@@ -382,20 +390,30 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   void relearn_sweep();
   void on_learning_flush(const std::vector<asic::LearnEvent>& batch);
   void complete_insertion(const asic::LearnEvent& event);
-  /// Control-plane digest-collision repair at insertion time: the switch
-  /// software knows every pending/installed flow's 5-tuple, so after placing
-  /// an entry it relocates any entry that would shadow a colliding flow's
-  /// lookups (generalizing the §4.2 SYN-time resolution to flows already in
-  /// flight).
-  void resolve_digest_conflicts(const net::FiveTuple& inserted);
-  void track_digest(const net::FiveTuple& flow);
-  void untrack_digest(const net::FiveTuple& flow);
+  /// Control-plane digest-collision repair (generalizing the §4.2 SYN-time
+  /// resolution to flows already in flight): after entries are placed or
+  /// moved to `placed`, every pending/installed flow an entry there can
+  /// shadow (for_each_exposed) is looked up, and an entry it false-hits is
+  /// relocated. Entries those relocations move are checked once more
+  /// without repair (no cascade); every shadow left behind counts as a
+  /// relocation failure.
+  void repair_placements(const std::vector<asic::SlotRef>& placed);
+  /// Calls `fn(flow_hash)` for each flow the entry at `slot` can shadow: the
+  /// entry's own flow plus the tracked same-digest flows whose bucket at the
+  /// slot's stage is the slot's bucket (only those probe that word).
+  template <typename Fn>
+  void for_each_exposed(const asic::SlotRef& slot, Fn&& fn) const;
+  /// The slot a flow's lookup false-hits, if any.
+  std::optional<asic::SlotRef> shadowing_slot(std::uint64_t flow_hash) const;
+  void note_relocation_failure(std::uint32_t scope = obs::kNoScope);
+  void track_digest(const net::FlowKey& key);
+  void untrack_digest(const net::FlowKey& key);
   /// Arms the aging sweep if idle_timeout is configured and it is not
   /// already pending; the sweep disarms itself when the table drains so an
   /// idle switch leaves the event queue empty.
   void arm_aging_sweep();
   void aging_sweep();
-  void enqueue_erase(const net::FiveTuple& flow, const net::Endpoint& vip,
+  void enqueue_erase(const net::FlowKey& key, const net::Endpoint& vip,
                      std::uint32_t version);
   void release_conn(const net::Endpoint& vip, const net::FiveTuple& flow,
                     std::uint32_t version);
@@ -473,7 +491,9 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   bool capacity_polled_ = false;
 
   std::unordered_map<net::Endpoint, VipState, net::EndpointHash> vips_;
-  std::unordered_map<net::FiveTuple, PendingConn, net::FiveTupleHash> pending_;
+  /// Flows learned but not yet inserted. Keyed by FlowKey so the packet's
+  /// and the LearnEvent's flow hash address it without hashing again.
+  std::unordered_map<net::FlowKey, PendingConn, net::FlowKeyHash> pending_;
   /// Exact-mapping fallback (insert failures, evicted versions): the
   /// slow-path "small table" of §4.2/§7.
   std::unordered_map<net::FiveTuple, net::Endpoint, net::FiveTupleHash>
@@ -481,10 +501,20 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// kPinVersion shed/degraded admissions: flow -> pinned (vip, version).
   std::unordered_map<net::FiveTuple, DegradedConn, net::FiveTupleHash>
       degraded_flows_;
-  /// CPU-side digest index over pending+installed flows, used to detect
-  /// lookup shadowing among digest-colliding flows at insertion time.
-  std::unordered_map<std::uint32_t, std::vector<net::FiveTuple>>
-      digest_groups_;
+  /// CPU-side digest index over pending+installed flows: their 64-bit flow
+  /// hashes, grouped by the digest's low bits, from which the conflict
+  /// repair derives each member's digest and stage buckets without touching
+  /// its tuple. A power-of-two group count, one per kSlotsPerDigestGroup
+  /// ConnTable slots but at most one per digest value, keeps the index small
+  /// for small tables.
+  static constexpr std::size_t kSlotsPerDigestGroup = 16;
+  std::vector<std::vector<std::uint64_t>> digest_groups_;
+  std::vector<std::uint64_t>& digest_group(std::uint32_t digest) {
+    return digest_groups_[digest & (digest_groups_.size() - 1)];
+  }
+  const std::vector<std::uint64_t>& digest_group(std::uint32_t digest) const {
+    return digest_groups_[digest & (digest_groups_.size() - 1)];
+  }
   /// Flows with an aging-erase already queued at the CPU (prevents duplicate
   /// work when sweeps outpace the CPU).
   std::unordered_set<net::FiveTuple, net::FiveTupleHash> aging_queue_;

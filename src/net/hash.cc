@@ -2,15 +2,13 @@
 
 #include <array>
 
+#include "net/flow_key.h"
+
 namespace silkroad::net {
 namespace {
 
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-// Seed domain separator so digests are independent of addressing hashes even
-// if a caller picks numerically colliding seeds.
-constexpr std::uint64_t kDigestDomain = 0xD16E57D0A11A5EEDULL;
 
 std::array<std::uint32_t, 256> make_crc32c_table() {
   std::array<std::uint32_t, 256> table{};
@@ -71,11 +69,7 @@ std::uint64_t hash_five_tuple(const FiveTuple& t, std::uint64_t seed) noexcept {
 }
 
 std::uint32_t connection_digest(const FiveTuple& t, unsigned bits) noexcept {
-  const std::uint64_t h = hash_five_tuple(t, kDigestDomain);
-  const unsigned width = bits == 0 ? 1 : (bits > 32 ? 32 : bits);
-  return static_cast<std::uint32_t>(h & ((width == 32)
-                                             ? 0xFFFFFFFFULL
-                                             : ((1ULL << width) - 1)));
+  return flow_digest(flow_hash(t), bits);
 }
 
 }  // namespace silkroad::net

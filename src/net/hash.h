@@ -54,13 +54,19 @@ class HashFunction {
 
 /// Extracts a `bits`-wide digest (1..32 bits) from a connection, independent
 /// of the addressing hashes (distinct seed domain). Paper §4.2 uses 16 bits.
+/// Equal to flow_digest(flow_hash(t), bits) (net/flow_key.h): the digest the
+/// ConnTable stores.
 std::uint32_t connection_digest(const FiveTuple& t, unsigned bits) noexcept;
 
+/// Seed of the flow hash a net::FlowKey carries (net/flow_key.h).
+inline constexpr std::uint64_t kFlowHashSeed = 0xC0FFEE0DDBA11ULL;
+
 /// Hash functor for using FiveTuple as a key in std::unordered_map (the
-/// switch-CPU shadow state and simulator bookkeeping).
+/// switch-CPU shadow state and simulator bookkeeping). Its value is the flow
+/// hash, so a FlowKey's hash can stand in for it.
 struct FiveTupleHash {
   std::size_t operator()(const FiveTuple& t) const noexcept {
-    return static_cast<std::size_t>(hash_five_tuple(t, 0xC0FFEE0DDBA11ULL));
+    return static_cast<std::size_t>(hash_five_tuple(t, kFlowHashSeed));
   }
 };
 

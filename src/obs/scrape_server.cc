@@ -101,7 +101,7 @@ bool ScrapeServer::start() {
   }
 
   running_.store(true);
-  thread_ = std::thread([this] { serve_loop(); });
+  thread_ = std::thread([this, fd = listen_fd_] { serve_loop(fd); });
   return true;
 }
 
@@ -110,16 +110,18 @@ void ScrapeServer::stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  // Unblock accept(): shutdown() wakes it on Linux; close() finishes the job.
+  // Unblock accept(): shutdown() wakes it on Linux and fails every later
+  // accept(). The descriptor is closed only after the join, so the server
+  // thread never sees it closed or its number reused.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (thread_.joinable()) thread_.join();
 }
 
-void ScrapeServer::serve_loop() {
+void ScrapeServer::serve_loop(int listen_fd) {
   while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listening socket closed by stop()

@@ -84,7 +84,9 @@ class ScrapeServer {
     PrefixHandler handler;
   };
 
-  void serve_loop();
+  /// Server-thread body; `listen_fd` is handed over by value so the thread
+  /// never reads listen_fd_.
+  void serve_loop(int listen_fd);
   void serve_one(int fd);
 
   Options options_;
@@ -94,6 +96,7 @@ class ScrapeServer {
   mutable sr::Mutex mu_;
   std::map<std::string, Route> routes_ SR_GUARDED_BY(mu_);
   std::map<std::string, PrefixRoute> prefix_routes_ SR_GUARDED_BY(mu_);
+  /// Touched only by the thread calling start()/stop().
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};

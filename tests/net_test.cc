@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 #include <unordered_set>
 
+#include "asic/cuckoo_table.h"
 #include "net/endpoint.h"
 #include "net/five_tuple.h"
+#include "net/flow_key.h"
 #include "net/hash.h"
 #include "net/ip_address.h"
 
@@ -190,6 +194,141 @@ TEST_P(DigestCollisionRate, MatchesBirthdayExpectation) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, DigestCollisionRate,
                          ::testing::Values(12u, 16u, 20u, 24u, 28u, 32u));
+
+// --- FlowKey: one flow hash, every table index derived from it --------------
+
+/// Flow `i` of a fixed pseudo-random IPv4 population (addresses and ports
+/// drawn from mix64, four VIPs).
+FiveTuple random_flow(std::uint64_t i) {
+  const std::uint64_t r = mix64(i);
+  return FiveTuple{{IpAddress::v4(static_cast<std::uint32_t>(r)),
+                    static_cast<std::uint16_t>(r >> 32)},
+                   {IpAddress::v4(0x14000000u + static_cast<std::uint32_t>(
+                                                    (r >> 48) % 4)),
+                    80},
+                   Protocol::kTcp};
+}
+
+asic::CuckooConfig table_config(std::size_t stages, std::size_t buckets,
+                                unsigned digest_bits = 16) {
+  asic::CuckooConfig config;
+  config.stages = stages;
+  config.buckets_per_stage = buckets;
+  config.digest_bits = digest_bits;
+  return config;
+}
+
+TEST(FlowKey, HashIsTheHostMapHash) {
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const FiveTuple t = random_flow(i);
+    const FlowKey key(t);
+    EXPECT_EQ(key.hash, flow_hash(t));
+    EXPECT_EQ(key.hash, FiveTupleHash{}(t));
+    EXPECT_EQ(FlowKey(t, key.hash), key);
+  }
+}
+
+TEST(FlowKey, DerivedDigestAndBucketsAreTheTables) {
+  const asic::DigestCuckooTable table(table_config(4, 1000, 12));
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    const FiveTuple t = random_flow(i);
+    const FlowKey key(t);
+    EXPECT_EQ(flow_digest(key.hash, 12), table.digest_of(t));
+    EXPECT_EQ(table.digest_of(key), table.digest_of(t));
+    EXPECT_EQ(table.digest_of_hash(key.hash), table.digest_of(t));
+    EXPECT_EQ(connection_digest(t, 12), table.digest_of(t));
+    for (std::uint32_t stage = 0; stage < 4; ++stage) {
+      EXPECT_EQ(table.bucket_of_hash(key.hash, stage),
+                table.bucket_of(t, stage));
+      EXPECT_EQ(table.bucket_of(key, stage), table.bucket_of(t, stage));
+    }
+  }
+  // An entry inserted by tuple sits where the key's derived bucket says.
+  asic::DigestCuckooTable filled(table_config(4, 64));
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    const FlowKey key(random_flow(i));
+    const auto placed = filled.insert(key.tuple, 1);
+    ASSERT_TRUE(placed.inserted);
+    EXPECT_EQ(placed.slot.bucket,
+              filled.bucket_of_hash(key.hash, placed.slot.stage));
+    EXPECT_EQ(filled.flow_hash_at(placed.slot), key.hash);
+  }
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    const FlowKey key(random_flow(i));
+    EXPECT_EQ(filled.contains(key), filled.contains(key.tuple));
+    EXPECT_TRUE(filled.contains(key));
+  }
+}
+
+TEST(FlowKey, V4AndV6WithTheSameBytesDoNotAlias) {
+  const asic::DigestCuckooTable table(table_config(4, 64));
+  int same_indices = 0;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const FiveTuple v4 = random_flow(i);
+    FiveTuple v6 = v4;
+    std::array<std::uint8_t, 16> src{};
+    std::array<std::uint8_t, 16> dst{};
+    std::copy_n(v4.src.ip.bytes().begin(), 4, src.begin());
+    std::copy_n(v4.dst.ip.bytes().begin(), 4, dst.begin());
+    v6.src.ip = IpAddress::v6(src);
+    v6.dst.ip = IpAddress::v6(dst);
+    const FlowKey k4(v4);
+    const FlowKey k6(v6);
+    EXPECT_NE(k4.hash, k6.hash);
+    bool all_equal = table.digest_of(k4) == table.digest_of(k6);
+    for (std::uint32_t stage = 0; stage < 4; ++stage) {
+      all_equal = all_equal &&
+                  table.bucket_of(k4, stage) == table.bucket_of(k6, stage);
+    }
+    same_indices += all_equal;
+  }
+  // Equal digest and all four buckets by chance: 2^-16 * 64^-4 per flow.
+  EXPECT_EQ(same_indices, 0);
+}
+
+TEST(FlowKey, StageBucketsSpreadEvenly) {
+  constexpr std::size_t kFlows = 1 << 16;
+  constexpr std::size_t kBuckets = 1024;
+  const asic::DigestCuckooTable table(table_config(4, kBuckets));
+  std::vector<std::vector<std::size_t>> load(
+      4, std::vector<std::size_t>(kBuckets));
+  for (std::uint64_t i = 0; i < kFlows; ++i) {
+    const FlowKey key(random_flow(i));
+    for (std::uint32_t stage = 0; stage < 4; ++stage) {
+      ++load[stage][table.bucket_of(key, stage)];
+    }
+  }
+  // Poisson(64) per bucket: the fullest of 1024 sits near 1.4x the mean.
+  const double mean = static_cast<double>(kFlows) / kBuckets;
+  for (const auto& stage : load) {
+    const auto [lo, hi] = std::minmax_element(stage.begin(), stage.end());
+    EXPECT_LT(static_cast<double>(*hi) / mean, 1.6);
+    EXPECT_GT(static_cast<double>(*lo) / mean, 0.4);
+  }
+}
+
+TEST(FlowKey, StagesAreIndependent) {
+  // With B buckets and S stages, a flow lands in the same bucket index at
+  // every stage with probability 1/B^(S-1), and at two given stages with
+  // probability 1/B. Stages derived from one hash must not correlate more.
+  constexpr std::size_t kFlows = 1 << 16;
+  constexpr std::size_t kBuckets = 8;
+  const asic::DigestCuckooTable table(table_config(4, kBuckets));
+  std::size_t all_same = 0;
+  std::size_t pair_same = 0;
+  for (std::uint64_t i = 0; i < kFlows; ++i) {
+    const FlowKey key(random_flow(i));
+    const std::uint32_t b0 = table.bucket_of(key, 0);
+    pair_same += table.bucket_of(key, 1) == b0;
+    all_same += table.bucket_of(key, 1) == b0 &&
+                table.bucket_of(key, 2) == b0 && table.bucket_of(key, 3) == b0;
+  }
+  const double expect_all = kFlows / std::pow(kBuckets, 3);  // 128
+  EXPECT_GT(static_cast<double>(all_same), 0.5 * expect_all);
+  EXPECT_LT(static_cast<double>(all_same), 1.5 * expect_all);
+  const double expect_pair = static_cast<double>(kFlows) / kBuckets;  // 8192
+  EXPECT_NEAR(static_cast<double>(pair_same), expect_pair, 0.05 * expect_pair);
+}
 
 }  // namespace
 }  // namespace silkroad::net

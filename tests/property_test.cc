@@ -2,7 +2,9 @@
 // invariants and reference models, parameterized over seeds (TEST_P sweeps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <unordered_map>
 
 #include "asic/cuckoo_table.h"
@@ -82,6 +84,110 @@ TEST_P(CuckooFuzz, AgreesWithReferenceMapUnderRandomOps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CuckooFuzz,
                          ::testing::Values(1ull, 2ull, 3ull, 5ull, 8ull, 13ull));
+
+// --- Digest-conflict repair vs a brute-force oracle -----------------------------
+
+// Dense collisions (4-bit digests, 8-16 buckets per stage) under seeded
+// SYN/FIN/drain sequences. The switch repairs shadows only around each
+// placement (the same-digest flows whose bucket at the placed entry's stage
+// is the placed bucket); the oracle looks up every pending and installed
+// flow by brute force after each drain. A flow whose lookup false-hits
+// another flow's entry must be covered by a relocation failure counted since
+// the previous scan (it became shadowed in between, and every check that
+// leaves a shadow counts one), so the placement-local check misses nothing a
+// full scan of the digest group would catch.
+class ConflictOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ConflictOracle, EveryShadowedFlowIsACountedRelocationFailure) {
+  sim::Rng rng(GetParam());
+  sim::Simulator sim;
+  core::SilkRoadSwitch::Config config;
+  config.conn_table.stages = 4;
+  config.conn_table.ways = 4;
+  config.conn_table.digest_bits = 4;
+  config.conn_table.buckets_per_stage = 8 + rng.uniform_int(9);
+  config.learning = {.capacity = 4, .timeout = 50 * sim::kMicrosecond};
+  config.cpu = {.tasks_per_second = 200'000.0};
+  core::SilkRoadSwitch sw(sim, config);
+  sw.add_vip(vip_ep(), make_dips(8));
+  const auto& table = sw.conn_table();
+  const std::size_t max_live = table.capacity() * 9 / 10;
+
+  std::vector<std::uint32_t> live;
+  std::uint32_t next_client = 0;
+  const auto send = [&](std::uint32_t client, bool syn, bool fin) {
+    net::Packet packet;
+    packet.flow = make_flow(client);
+    packet.syn = syn;
+    packet.fin = fin;
+    packet.size_bytes = 64;
+    sw.process_packet(packet);
+  };
+  std::set<std::uint32_t> shadowed;
+  std::uint64_t failures = 0;
+  std::size_t scans = 0;
+  std::size_t shadows_seen = 0;
+  const auto scan = [&](int step) {
+    // No update runs, so the blast radius is exactly the software-table
+    // pins: live flows that are neither pending nor installed.
+    const auto pinned = sw.failover_blast_radius();
+    std::set<std::uint32_t> now;
+    for (const std::uint32_t client : live) {
+      const net::FiveTuple flow = make_flow(client);
+      if (std::find(pinned.begin(), pinned.end(), flow) != pinned.end()) {
+        continue;
+      }
+      const auto hit = table.lookup(flow);
+      if (hit && table.is_false_positive(flow, hit->slot)) now.insert(client);
+    }
+    std::size_t fresh = 0;
+    for (const std::uint32_t client : now) fresh += !shadowed.contains(client);
+    const std::uint64_t total = sw.stats().relocation_failures;
+    EXPECT_LE(fresh, total - failures)
+        << "seed " << GetParam() << " step " << step;
+    EXPECT_LE(now.size(), total) << "seed " << GetParam() << " step " << step;
+    shadows_seen += fresh;
+    shadowed = std::move(now);
+    failures = total;
+    ++scans;
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    const double dice = rng.uniform();
+    if (dice < 0.45 && live.size() < max_live) {
+      live.push_back(next_client);
+      send(next_client++, true, false);
+    } else if (dice < 0.65 && !live.empty()) {
+      const std::size_t i = rng.uniform_int(live.size());
+      send(live[i], false, true);
+      live[i] = live.back();
+      live.pop_back();
+    } else if (dice < 0.8 && !live.empty()) {
+      send(live[rng.uniform_int(live.size())], false, false);
+    } else {
+      // Partial drains leave flows pending behind the ones inserted.
+      if (rng.bernoulli(0.2)) {
+        sim.run();
+      } else {
+        sim.run_until(sim.now() +
+                      static_cast<sim::Time>(rng.uniform_int(40)) *
+                          sim::kMicrosecond);
+      }
+      scan(step);
+    }
+  }
+  sim.run();
+  scan(-1);
+  EXPECT_GT(scans, 100u);
+  // The workload really collides, leaves shadows and moves entries.
+  EXPECT_GT(shadows_seen, 0u);
+  EXPECT_GT(sw.stats().syn_false_positives, 0u);
+  EXPECT_GT(table.total_moves(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConflictOracle,
+                         ::testing::Values(1ull, 2ull, 3ull, 4ull, 5ull, 6ull,
+                                           7ull, 8ull));
 
 // --- Version manager invariants ------------------------------------------------
 

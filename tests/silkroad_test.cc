@@ -252,10 +252,11 @@ TEST(SilkRoadSwitch, DigestCollisionSynRedirectResolves) {
 
 TEST(SilkRoadSwitch, FinBehindDigestCollisionErasesOwnEntry) {
   // 1-bit digests leave some installed flows shadowed: their lookup stops
-  // at a digest-colliding entry in an earlier stage (cuckoo moves and
-  // failed relocations re-create shadows resolve_digest_conflicts cannot
-  // see). A FIN on such a flow false-hits, yet must still erase the flow's
-  // own entry, or the entry outlives the connection.
+  // at a digest-colliding entry in an earlier stage. Every placement and
+  // cuckoo move is checked, but when no conflict-free slot exists the
+  // relocation fails (counted in relocation_failures) and the shadow stays.
+  // A FIN on such a flow false-hits, yet must still erase the flow's own
+  // entry, or the entry outlives the connection.
   sim::Simulator sim;
   auto config = small_config();
   config.conn_table.digest_bits = 1;
@@ -293,12 +294,14 @@ TEST(SilkRoadSwitch, FinBehindDigestCollisionErasesOwnEntry) {
 TEST(SilkRoadSwitch, InsertShadowingAnInstalledFlowIsRelocated) {
   // Flow A sits in stage 1 because its stage-0 bucket was full. Flow B
   // shares A's digest and stage-0 bucket, so once a way there frees up, B's
-  // insertion lands in front of A and A's lookups would false-hit B.
-  // resolve_digest_conflicts must move B away so A resolves exactly again.
+  // insertion lands in front of A and A's lookups would false-hit B. The
+  // per-placement conflict check must move B away so A resolves exactly
+  // again.
   //
   // B's stage-1 bucket differs from A's, so A is in none of B's candidate
-  // slots: a conflict scan over only the new entry's candidate slots would
-  // miss this shadow (and would miss pending flows, which hold no slot).
+  // slots: a scan over only the new entry's candidate slots would miss this
+  // shadow. The check instead tests every same-digest flow whose bucket at
+  // the placed entry's stage (0) is the placed bucket, which A is.
   sim::Simulator sim;
   auto config = small_config();
   config.conn_table.digest_bits = 4;
@@ -362,6 +365,59 @@ TEST(SilkRoadSwitch, InsertShadowingAnInstalledFlowIsRelocated) {
   ASSERT_TRUE(a_after.has_value());
   EXPECT_EQ(a_after->slot, a_hit->slot);
   EXPECT_FALSE(table.is_false_positive(a, a_after->slot));
+}
+
+TEST(SilkRoadSwitch, InsertShadowingAPendingFlowIsRelocated) {
+  // Flow Q shares flow P's digest and stage-0 bucket. Q's SYN arrives first,
+  // so the CPU installs Q while P is still pending (learned, not yet
+  // inserted); Q's entry lands in P's stage-0 word, where P's data packets
+  // would false-hit it and follow Q's entry. Pending flows hold no slot, so
+  // only the CPU's digest index knows P is exposed: the per-placement check
+  // must cover it and move Q away.
+  sim::Simulator sim;
+  auto config = small_config();
+  config.conn_table.digest_bits = 4;
+  config.conn_table.buckets_per_stage = 8;
+  SilkRoadSwitch sw(sim, config);
+  sw.add_vip(vip_ep(), make_dips(8));
+  const auto& table = sw.conn_table();
+
+  const net::FiveTuple p = make_flow(0);
+  std::uint32_t q_client = 1;
+  while (table.digest_of(make_flow(q_client)) != table.digest_of(p) ||
+         table.bucket_of(make_flow(q_client), 0) != table.bucket_of(p, 0)) {
+    ++q_client;
+  }
+  const net::FiveTuple q = make_flow(q_client);
+  ASSERT_TRUE(sw.process_packet(packet_of(q_client, true)).dip.has_value());
+  const auto p_dip = sw.process_packet(packet_of(0, true)).dip;
+  ASSERT_TRUE(p_dip.has_value());
+  // Run until Q's entry lands; P's insertion is queued behind it.
+  while (!table.contains(q) && sim.step()) {
+  }
+  ASSERT_TRUE(table.contains(q));
+  ASSERT_FALSE(table.contains(p));
+  ASSERT_EQ(sw.pending_insertions(), 1u);
+
+  EXPECT_GT(table.total_moves(), 0u);  // Q left P's stage-0 word
+  const auto hit = table.lookup(p);
+  EXPECT_FALSE(hit && table.is_false_positive(p, hit->slot));
+  for (int i = 0; i < 3; ++i) {
+    const auto r = sw.process_packet(packet_of(0));
+    ASSERT_TRUE(r.dip.has_value());
+    EXPECT_EQ(*r.dip, *p_dip);
+  }
+  EXPECT_EQ(sw.stats().non_syn_false_hits, 0u);
+  EXPECT_EQ(sw.stats().relocation_failures, 0u);
+
+  sim.run();
+  ASSERT_TRUE(table.contains(p));
+  const auto p_hit = table.lookup(p);
+  ASSERT_TRUE(p_hit.has_value());
+  EXPECT_FALSE(table.is_false_positive(p, p_hit->slot));
+  const auto q_hit = table.lookup(q);
+  ASSERT_TRUE(q_hit.has_value());
+  EXPECT_FALSE(table.is_false_positive(q, q_hit->slot));
 }
 
 TEST(SilkRoadSwitch, TableOverflowFallsBackToSoftware) {
