@@ -15,7 +15,6 @@
 // survive a full recompute, and a fault-free storm must end with zero
 // silent divergences and a met convergence SLO.
 #include <algorithm>
-#include <ctime>
 #include <random>
 #include <vector>
 
@@ -49,15 +48,6 @@ std::vector<net::Endpoint> dips_of(std::size_t v) {
   return dips;
 }
 
-/// Process CPU time (see span_overhead.cc): immune to scheduler noise on
-/// shared CI machines; the fleet run is single-threaded.
-double cpu_ms() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return 1e3 * static_cast<double>(ts.tv_sec) +
-         1e-6 * static_cast<double>(ts.tv_nsec);
-}
-
 struct RunResult {
   double cpu_ms = 0;
   std::uint64_t journal_head = 0;
@@ -72,7 +62,7 @@ struct RunResult {
 };
 
 RunResult run_once(bool observe) {
-  const double start = cpu_ms();
+  const double start = bench::cpu_ms();
   sim::Simulator sim;
   core::SilkRoadSwitch::Config config;
   config.conn_table = core::SilkRoadSwitch::conn_table_for(8192);
@@ -106,7 +96,7 @@ RunResult run_once(bool observe) {
   }
 
   RunResult result;
-  result.cpu_ms = cpu_ms() - start;
+  result.cpu_ms = bench::cpu_ms() - start;
   result.journal_head = fleet.journal_head();
   result.retries = fleet.ctrl_retries();
   result.sessions =
@@ -130,21 +120,10 @@ int main() {
       "the FleetObserver's incremental digests + lag accounting must cost "
       "<5% of the observer-off update-heavy control path and change nothing");
 
-  (void)run_once(false);  // warm-up pair discarded
-  (void)run_once(true);
-  RunResult off;
-  RunResult on;
-  std::vector<double> ratios;
-  for (int rep = 0; rep < kPairs; ++rep) {
-    const RunResult u = run_once(/*observe=*/false);
-    const RunResult t = run_once(/*observe=*/true);
-    if (rep == 0 || u.cpu_ms < off.cpu_ms) off = u;
-    if (rep == 0 || t.cpu_ms < on.cpu_ms) on = t;
-    if (u.cpu_ms > 0) ratios.push_back(t.cpu_ms / u.cpu_ms);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const double median_pct =
-      ratios.empty() ? 0.0 : 100.0 * (ratios[ratios.size() / 2] - 1.0);
+  const auto pairs = bench::on_off_pairs(kPairs, run_once);
+  const RunResult& off = pairs.off;
+  const RunResult& on = pairs.on;
+  const double median_pct = pairs.median_pct();
   const double best_of_pct =
       off.cpu_ms > 0 ? 100.0 * (on.cpu_ms / off.cpu_ms - 1.0) : 0.0;
   const double overhead_pct = std::min(median_pct, best_of_pct);
@@ -160,7 +139,7 @@ int main() {
   std::printf("%-28s %12llu %12llu\n", "digest selfchecks", 0ULL,
               static_cast<unsigned long long>(on.selfchecks));
   std::printf("%-28s %12.2f%%  (median of %zu interleaved pairs)\n",
-              "fleet_obs_overhead_median_pct", median_pct, ratios.size());
+              "fleet_obs_overhead_median_pct", median_pct, pairs.ratios.size());
   std::printf("%-28s %12.2f%%  (ratio of best-of-run CPU minima)\n",
               "fleet_obs_overhead_best_pct", best_of_pct);
   std::printf("%-28s %12.2f%%  (min of the two estimators)\n",

@@ -1,12 +1,10 @@
 // Hot-path observability overhead gate (DESIGN.md §14).
 //
-// The data-plane telemetry added on top of the base counters (sampling
-// profiler + per-DIP connection gauges) must cost <5% of the telemetry-off
-// packet path, measured span_overhead-style as the median per-pair CPU ratio
-// over interleaved on/off runs of the packet-level auditor. Telemetry must
-// never change sim-visible behavior.
-#include <algorithm>
-#include <ctime>
+// The data-plane telemetry added on top of the base counters (the per-DIP
+// connection series) must cost <5% of the telemetry-off packet path,
+// measured span_overhead-style as the median per-pair CPU ratio over
+// interleaved on/off runs of the packet-level auditor. Telemetry must never
+// change sim-visible behavior.
 #include <vector>
 
 #include "bench_common.h"
@@ -53,23 +51,14 @@ Workload make_workload() {
   return w;
 }
 
-/// Process CPU time (see span_overhead.cc): immune to scheduler noise on
-/// shared CI machines; the packet-level run is single-threaded.
-double cpu_ms() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return 1e3 * static_cast<double>(ts.tv_sec) +
-         1e-6 * static_cast<double>(ts.tv_nsec);
-}
-
 struct RunResult {
   double cpu_ms = 0;
   lb::PacketLevelRunner::Stats stats;
-  std::uint64_t sampled = 0;  // profiler samples taken (0 when telemetry off)
+  std::size_t dip_series = 0;  // per-DIP series registered
 };
 
 RunResult run_once(const Workload& w, bool telemetry) {
-  const double start = cpu_ms();
+  const double start = bench::cpu_ms();
   sim::Simulator sim;
   core::SilkRoadSwitch::Config config;
   config.conn_table = core::SilkRoadSwitch::conn_table_for(50'000);
@@ -80,10 +69,11 @@ RunResult run_once(const Workload& w, bool telemetry) {
                                {.packet_interval = 20 * sim::kMillisecond});
   RunResult result;
   result.stats = runner.run(w.flows, w.updates);
-  result.cpu_ms = cpu_ms() - start;
+  result.cpu_ms = bench::cpu_ms() - start;
   for (const auto& sample : sw.metrics().snapshot().samples) {
-    if (sample.name == "silkroad_packet_sampled_packets_total") {
-      result.sampled = static_cast<std::uint64_t>(sample.value);
+    if (sample.name == "silkroad_dip_new_conns_total" ||
+        sample.name == "silkroad_dip_active_conns") {
+      ++result.dip_series;
     }
   }
   return result;
@@ -93,29 +83,18 @@ RunResult run_once(const Workload& w, bool telemetry) {
 
 int main() {
   bench::print_header(
-      "hot-path observability overhead — the sampling profiler and per-DIP "
-      "connection telemetry",
+      "hot-path observability overhead — per-DIP connection telemetry",
       "telemetry must be cheap enough to leave on: total packet-path "
       "overhead <5%");
 
   // Interleaved telemetry-off/on pairs of the packet-level audit over a
-  // SilkRoadSwitch; warm-up pair discarded; median per-pair CPU ratio.
+  // SilkRoadSwitch; median per-pair CPU ratio.
   const Workload w = make_workload();
-  (void)run_once(w, false);
-  (void)run_once(w, true);
-  RunResult off;
-  RunResult on;
-  std::vector<double> ratios;
-  for (int rep = 0; rep < kPairs; ++rep) {
-    const RunResult u = run_once(w, /*telemetry=*/false);
-    const RunResult t = run_once(w, /*telemetry=*/true);
-    if (rep == 0 || u.cpu_ms < off.cpu_ms) off = u;
-    if (rep == 0 || t.cpu_ms < on.cpu_ms) on = t;
-    if (u.cpu_ms > 0) ratios.push_back(t.cpu_ms / u.cpu_ms);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const double overhead_pct =
-      ratios.empty() ? 0.0 : 100.0 * (ratios[ratios.size() / 2] - 1.0);
+  const auto pairs = bench::on_off_pairs(
+      kPairs, [&w](bool telemetry) { return run_once(w, telemetry); });
+  const RunResult& off = pairs.off;
+  const RunResult& on = pairs.on;
+  const double overhead_pct = pairs.median_pct();
 
   std::printf("\n%-28s %12s %12s\n", "", "telemetry off", "on");
   std::printf("%-28s %12.1f %12.1f\n", "cpu_ms (min of pairs)", off.cpu_ms,
@@ -123,18 +102,18 @@ int main() {
   std::printf("%-28s %12llu %12llu\n", "packets",
               static_cast<unsigned long long>(off.stats.packets),
               static_cast<unsigned long long>(on.stats.packets));
-  std::printf("%-28s %12llu %12llu\n", "profiler samples",
-              static_cast<unsigned long long>(off.sampled),
-              static_cast<unsigned long long>(on.sampled));
+  std::printf("%-28s %12zu %12zu\n", "per-DIP series", off.dip_series,
+              on.dip_series);
   std::printf("%-28s %12.2f%%  (median of %zu interleaved pairs)\n",
-              "obs_overhead_pct", overhead_pct, ratios.size());
+              "obs_overhead_pct", overhead_pct, pairs.ratios.size());
 
   const bool behavior_identical =
       off.stats.flows == on.stats.flows &&
       off.stats.packets == on.stats.packets &&
       off.stats.violations == on.stats.violations &&
       off.stats.unmapped_flows == on.stats.unmapped_flows;
-  const bool profiler_sampled = on.sampled > 0 && off.sampled == 0;
+  // The per-DIP series are all the flag still gates.
+  const bool dip_series_live = on.dip_series > 0 && off.dip_series == 0;
 
   // Absolute times are machine-dependent and deliberately NOT headlines; the
   // baseline pins the relative overhead.
@@ -142,10 +121,10 @@ int main() {
                   "telemetry-on CPU over telemetry-off, percent (budget: <5)");
   bench::headline("behavior_identical", behavior_identical ? 1.0 : 0.0,
                   "telemetry changed no sim-visible outcome (must be 1)");
-  bench::headline("profiler_sampled", profiler_sampled ? 1.0 : 0.0,
-                  "sampling profiler took samples iff telemetry on (must be 1)");
+  bench::headline("dip_series_live", dip_series_live ? 1.0 : 0.0,
+                  "per-DIP series exist iff telemetry on (must be 1)");
   bench::emit_headlines("obs_overhead");
 
-  if (!behavior_identical || !profiler_sampled) return 1;
+  if (!behavior_identical || !dip_series_live) return 1;
   return overhead_pct < 5.0 ? 0 : 1;
 }

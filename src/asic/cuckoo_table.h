@@ -31,7 +31,6 @@
 #include "net/flow_key.h"
 #include "net/hash.h"
 #include "obs/metrics.h"
-#include "obs/stage_profiler.h"
 #include "obs/trace.h"
 
 namespace silkroad::check {
@@ -231,15 +230,10 @@ class DigestCuckooTable {
 
   // --- Telemetry -----------------------------------------------------------
 
-  /// Attaches per-stage lookup profiling and/or structured event tracing
-  /// (obs layer). Either pointer may be null; both must outlive the table.
-  /// Lookups then record one probe per examined stage, and inserts emit
-  /// cuckoo-insert / cuckoo-evict / cuckoo-insert-fail trace events.
-  void bind_observer(obs::StageProfiler* profiler,
-                     obs::TraceRing* trace) noexcept {
-    profiler_ = profiler;
-    trace_ = trace;
-  }
+  /// Attaches structured event tracing (obs layer); null detaches. The ring
+  /// must outlive the table. Inserts then emit cuckoo-insert /
+  /// cuckoo-evict / cuckoo-insert-fail trace events.
+  void bind_observer(obs::TraceRing* trace) noexcept { trace_ = trace; }
 
   /// Bucket index of `key` at `stage`: mix64(flow hash ^ stage seed) mod
   /// the bucket count.
@@ -329,7 +323,6 @@ class DigestCuckooTable {
   std::size_t size_ = 0;
   obs::Counter total_moves_;
   obs::Counter failed_inserts_;
-  obs::StageProfiler* profiler_ = nullptr;
   obs::TraceRing* trace_ = nullptr;
 };
 

@@ -34,10 +34,6 @@ SilkRoadSwitch::SilkRoadSwitch(sim::Simulator& simulator, const Config& config)
     : sim_(simulator),
       config_(config),
       trace_(4096, [this] { return sim_.now(); }),
-      conn_profiler_(metrics_, "silkroad_conn_table",
-                     config.conn_table.stages),
-      packet_profiler_(metrics_, "silkroad_packet",
-                       {"pipeline", "slow_path"}, config.profiler),
       conn_table_(config.conn_table),
       learning_filter_(simulator, config.learning,
                        [this](const std::vector<asic::LearnEvent>& batch) {
@@ -52,7 +48,7 @@ SilkRoadSwitch::SilkRoadSwitch(sim::Simulator& simulator, const Config& config)
       std::size_t{1} << std::min(config.conn_table.digest_bits, 32u)));
   init_metrics();
   init_capacity();
-  conn_table_.bind_observer(&conn_profiler_, &trace_);
+  conn_table_.bind_observer(&trace_);
   cpu_.bind_metrics(metrics_, "silkroad_cpu");
 }
 
@@ -119,6 +115,12 @@ void SilkRoadSwitch::init_metrics() {
   c_.meter_red = metrics_.counter("silkroad_meter_packets_total",
                                   "metered packets by color",
                                   "color=\"red\"");
+  for (std::uint32_t stage = 0; stage < config_.conn_table.stages; ++stage) {
+    c_.conn_table_stage_hits.push_back(metrics_.counter(
+        "silkroad_conn_table_stage_hits_total",
+        "table hits at the stage",
+        "stage=\"" + std::to_string(stage) + "\""));
+  }
   c_.packet_latency_ns = metrics_.histogram(
       "silkroad_packet_latency_ns",
       "per-packet added latency (pipeline + slow-path redirects)");
@@ -413,7 +415,6 @@ void SilkRoadSwitch::add_vip(const net::Endpoint& vip,
   state.trace_scope = trace_.intern(vip.to_string());
   state.versions->bind_trace(&trace_, state.trace_scope);
   if (config_.data_plane_telemetry) {
-    state.sampled_latency = packet_profiler_.vip_series(vip.to_string());
     // Pre-register the initial DIPs so the imbalance denominators exist at
     // zero before any traffic (gauges count from the first sample).
     for (const net::Endpoint& dip : dips) dip_handles(state, vip, dip);
@@ -622,10 +623,6 @@ void SilkRoadSwitch::repair_placements(
 }
 
 lb::PacketResult SilkRoadSwitch::process_packet(const net::Packet& packet) {
-  // Telemetry off: the sampler costs nothing; on: one countdown decrement
-  // per packet, full stage/VIP recording only for the 1-in-N sampled ones.
-  const bool sampled =
-      config_.data_plane_telemetry && packet_profiler_.begin_packet();
   const lb::PacketResult result = process_packet_impl(packet);
   // Capacity-ledger poll: one time comparison per packet, full sampling at
   // most once per capacity_poll_interval of sim time.
@@ -634,24 +631,6 @@ lb::PacketResult SilkRoadSwitch::process_packet(const net::Packet& packet) {
   // least the pipeline latency, so this records exactly the counted packets.
   if (result.added_latency > 0) {
     c_.packet_latency_ns->record(result.added_latency);
-    if (sampled) {
-      // Split the charge into the fixed pipeline slice and the slow-path
-      // remainder (SYN redirects), matching the modeled cost structure.
-      const std::uint64_t total =
-          static_cast<std::uint64_t>(result.added_latency);
-      const std::uint64_t pipeline = std::min(
-          total, static_cast<std::uint64_t>(config_.pipeline_latency));
-      packet_profiler_.enter(kStagePipeline);
-      packet_profiler_.exit(kStagePipeline, pipeline);
-      if (total > pipeline) {
-        packet_profiler_.enter(kStageSlowPath);
-        packet_profiler_.exit(kStageSlowPath, total - pipeline);
-      }
-      if (const VipState* state = find_vip(packet.flow.dst);
-          state != nullptr && state->sampled_latency != nullptr) {
-        state->sampled_latency->record(total);
-      }
-    }
   }
   return result;
 }
@@ -764,6 +743,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
       }
     } else {
       c_.conn_table_hits->inc();
+      c_.conn_table_stage_hits[hit->slot.stage]->inc();
       conn_table_.touch(hit->slot, sim_.now());  // hardware hit bit
       result.dip = state->versions->select(hit->value, packet.flow);
       if (packet.fin) enqueue_erase(key, vip, hit->value);

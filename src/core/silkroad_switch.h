@@ -25,6 +25,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "asic/bloom_filter.h"
 #include "asic/cuckoo_table.h"
@@ -36,9 +37,7 @@
 #include "net/flow_key.h"
 #include "obs/capacity.h"
 #include "obs/metrics.h"
-#include "obs/sampling_profiler.h"
 #include "obs/span.h"
-#include "obs/stage_profiler.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
 
@@ -110,13 +109,11 @@ class SilkRoadSwitch : public lb::LoadBalancer {
 
     // --- Data-plane performance telemetry (DESIGN.md §14) -------------------
 
-    /// Gates the sampling packet profiler and the per-DIP active/new
-    /// connection accounting. The always-on core counters (packets, table
-    /// hits/misses, ...) stay on regardless; disabling this removes
+    /// Gates the per-DIP active/new connection series. The always-on core
+    /// counters (packets, table hits/misses, per-stage hits) and the
+    /// modeled-latency histogram stay on regardless; disabling this removes
     /// everything that costs more than a counter bump.
     bool data_plane_telemetry = true;
-    /// Sampling profiler knobs (period, seed, histogram resolution).
-    obs::SamplingProfiler::Options profiler;
 
     // --- SRAM capacity ledger (DESIGN.md §15) -------------------------------
 
@@ -303,8 +300,6 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     bool meter_enforce = false;
     /// Interned VIP name in the switch's TraceRing.
     std::uint32_t trace_scope = obs::kNoScope;
-    /// Sampled per-VIP packet-latency histogram (null when telemetry off).
-    obs::Histogram* sampled_latency = nullptr;
     /// Per-DIP telemetry handles, registered lazily on first connection.
     std::unordered_map<net::Endpoint, DipConnHandles, net::EndpointHash>
         dip_conns;
@@ -434,19 +429,11 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// DIP mappings in the software table.
   bool evict_version_for(const net::Endpoint& vip, VipState& state);
 
-  /// Sampling-profiler stage indices (stage labels "pipeline" and
-  /// "slow_path" on silkroad_packet_stage_latency_ns).
-  static constexpr std::size_t kStagePipeline = 0;
-  static constexpr std::size_t kStageSlowPath = 1;
-
   sim::Simulator& sim_;
   Config config_;
   /// Telemetry first: the instrumented members below bind to these.
   obs::MetricsRegistry metrics_;
   obs::TraceRing trace_;
-  obs::StageProfiler conn_profiler_;
-  /// Deterministic 1-in-N packet latency sampler (data_plane_telemetry).
-  obs::SamplingProfiler packet_profiler_;
   /// Hot-path counter handles into metrics_ (one relaxed add per bump).
   struct CounterHandles {
     obs::Counter* packets = nullptr;
@@ -473,6 +460,8 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     obs::Counter* meter_green = nullptr;
     obs::Counter* meter_yellow = nullptr;
     obs::Counter* meter_red = nullptr;
+    /// ConnTable true hits by the stage holding the entry.
+    std::vector<obs::Counter*> conn_table_stage_hits;
     obs::Histogram* packet_latency_ns = nullptr;
     obs::Histogram* learn_batch_size = nullptr;
     /// learn -> ConnTable-entry-landed, per installed connection.

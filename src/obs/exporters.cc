@@ -132,10 +132,6 @@ std::string to_json(const Snapshot& snapshot) {
 }
 
 std::string to_profile_json(const Snapshot& snapshot) {
-  const auto ends_with = [](const std::string& s, std::string_view suffix) {
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-  };
   std::string out = "{\"histograms\":[";
   bool first = true;
   for (const auto& sample : snapshot.samples) {
@@ -157,21 +153,6 @@ std::string to_profile_json(const Snapshot& snapshot) {
              format_number(histogram_quantile(sample, q)).c_str());
     }
     out += "}";
-  }
-  out += "\n],\"sampling\":[";
-  first = true;
-  for (const auto& sample : snapshot.samples) {
-    if (sample.kind != MetricKind::kCounter ||
-        (!ends_with(sample.name, "_sampled_packets_total") &&
-         !ends_with(sample.name, "_profiler_reentry_total"))) {
-      continue;
-    }
-    if (!first) out += ",";
-    first = false;
-    append(out, "\n  {\"name\":\"%s\",\"labels\":\"%s\",\"value\":%s}",
-           json_escape(sample.name).c_str(),
-           json_escape(sample.labels).c_str(),
-           format_number(sample.value).c_str());
   }
   out += "\n]}\n";
   return out;

@@ -39,9 +39,8 @@ std::string to_json(const Snapshot& snapshot);
 
 /// Latency-profile summary served as /profile: every non-empty histogram
 /// series rendered as {"name","labels","count","sum","mean","p50","p90",
-/// "p99","p999"}, plus a "sampling" array of the sampling-profiler counters
-/// (*_sampled_packets_total, *_profiler_reentry_total) so the sampled
-/// population and any re-entry anomalies are visible next to the quantiles.
+/// "p99","p999"}. Modeled packet latency is silkroad_packet_latency_ns, one
+/// record per packet: the pipeline charge plus any CPU redirects.
 std::string to_profile_json(const Snapshot& snapshot);
 
 /// Chrome trace-event JSON. The 3-step PCC protocol renders as duration

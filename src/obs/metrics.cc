@@ -20,35 +20,28 @@ const char* to_string(MetricKind kind) noexcept {
 // Histogram
 // ---------------------------------------------------------------------------
 
-Histogram::Histogram(const Options& options)
-    : log2_sub_(std::min(options.log2_subdivisions, 6u)),
-      // Values < 2^(log2_sub+1) get exact/linear buckets; each higher
-      // power-of-two range [2^e, 2^(e+1)) contributes 2^log2_sub buckets, up
-      // to e = 63.
-      bucket_count_((2 + 63 - log2_sub_) << log2_sub_),
-      buckets_(std::make_unique<std::atomic<std::uint64_t>[]>(bucket_count_)) {}
-
-std::size_t Histogram::bucket_index(std::uint64_t value) const noexcept {
-  const std::uint64_t sub = std::uint64_t{1} << log2_sub_;
+std::size_t Histogram::bucket_index(std::uint64_t value) noexcept {
+  constexpr std::uint64_t sub = std::uint64_t{1} << kLog2Subdivisions;
   if (value < 2 * sub) return static_cast<std::size_t>(value);
-  const unsigned exponent = std::bit_width(value) - 1;  // >= log2_sub + 1
-  const unsigned shift = exponent - log2_sub_;
+  const unsigned exponent = std::bit_width(value) - 1;  // value >= 2 * sub
+  const unsigned shift = exponent - kLog2Subdivisions;
   const std::uint64_t mantissa = (value >> shift) & (sub - 1);
-  return static_cast<std::size_t>((exponent - log2_sub_ + 1) * sub + mantissa);
+  return static_cast<std::size_t>((exponent - kLog2Subdivisions + 1) * sub +
+                                  mantissa);
 }
 
-std::uint64_t Histogram::bucket_lower_bound(std::size_t index) const noexcept {
-  const std::uint64_t sub = std::uint64_t{1} << log2_sub_;
+std::uint64_t Histogram::bucket_lower_bound(std::size_t index) noexcept {
+  constexpr std::uint64_t sub = std::uint64_t{1} << kLog2Subdivisions;
   if (index < 2 * sub) return index;
-  const std::uint64_t exponent = index / sub + log2_sub_ - 1;
+  const std::uint64_t exponent = index / sub + kLog2Subdivisions - 1;
   const std::uint64_t mantissa = index % sub;
   return (std::uint64_t{1} << exponent) +
-         (mantissa << (exponent - log2_sub_));
+         (mantissa << (exponent - kLog2Subdivisions));
 }
 
 std::uint64_t Histogram::count() const noexcept {
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < bucket_count_; ++i) total += bucket_value(i);
+  for (std::size_t i = 0; i < kBucketCount; ++i) total += bucket_value(i);
   return total;
 }
 
@@ -148,12 +141,11 @@ Gauge* MetricsRegistry::gauge(const std::string& name, const std::string& help,
 
 Histogram* MetricsRegistry::histogram(const std::string& name,
                                       const std::string& help,
-                                      const std::string& labels,
-                                      const Histogram::Options& options) {
+                                      const std::string& labels) {
   const sr::MutexLock lock(mu_);
   Series* series = find_or_create(name, labels, help, MetricKind::kHistogram);
   if (!series->histogram) {
-    series->histogram = std::make_unique<Histogram>(options);
+    series->histogram = std::make_unique<Histogram>();
   }
   return series->histogram.get();
 }

@@ -21,6 +21,7 @@
 // a mutex.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -71,19 +72,20 @@ class Gauge {
 };
 
 /// Log-linear histogram over unsigned 64-bit values (HdrHistogram-style):
-/// each power-of-two range is subdivided into 2^log2_subdivisions linear
+/// each power-of-two range is subdivided into 2^kLog2Subdivisions linear
 /// buckets, giving a bounded relative error of 1/subdivisions across the
-/// whole 64-bit range with ~256 buckets. record() is branch-light bit
+/// whole 64-bit range with 252 buckets. record() is branch-light bit
 /// arithmetic plus one relaxed atomic add.
 class Histogram {
  public:
-  struct Options {
-    /// log2 of the linear subdivisions per power-of-two range (2 -> 4
-    /// sub-buckets, ~25% worst-case relative bucket width).
-    unsigned log2_subdivisions = 2;
-  };
-
-  explicit Histogram(const Options& options);
+  /// log2 of the linear subdivisions per power-of-two range (2 -> 4
+  /// sub-buckets, ~25% worst-case relative bucket width).
+  static constexpr unsigned kLog2Subdivisions = 2;
+  /// Values < 2^(kLog2Subdivisions+1) get exact/linear buckets; each higher
+  /// power-of-two range [2^e, 2^(e+1)) contributes 2^kLog2Subdivisions
+  /// buckets, up to e = 63.
+  static constexpr std::size_t kBucketCount = (2 + 63 - kLog2Subdivisions)
+                                              << kLog2Subdivisions;
 
   void record(std::uint64_t value) noexcept {
     buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
@@ -92,12 +94,12 @@ class Histogram {
 
   /// Bucket holding `value`. Values below the subdivision count get exact
   /// unit buckets; above, the index combines the exponent with the top
-  /// `log2_subdivisions` mantissa bits.
-  std::size_t bucket_index(std::uint64_t value) const noexcept;
+  /// `kLog2Subdivisions` mantissa bits.
+  static std::size_t bucket_index(std::uint64_t value) noexcept;
   /// Smallest value mapping to bucket `index` (inclusive). The bucket covers
   /// [lower_bound(i), lower_bound(i+1)).
-  std::uint64_t bucket_lower_bound(std::size_t index) const noexcept;
-  std::size_t bucket_count() const noexcept { return bucket_count_; }
+  static std::uint64_t bucket_lower_bound(std::size_t index) noexcept;
+  static constexpr std::size_t bucket_count() noexcept { return kBucketCount; }
   std::uint64_t bucket_value(std::size_t index) const noexcept {
     return buckets_[index].load(std::memory_order_relaxed);
   }
@@ -108,9 +110,7 @@ class Histogram {
   }
 
  private:
-  unsigned log2_sub_;
-  std::size_t bucket_count_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
+  std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
   std::atomic<std::uint64_t> sum_{0};
 };
 
@@ -171,8 +171,7 @@ class MetricsRegistry {
   Gauge* gauge(const std::string& name, const std::string& help = "",
                const std::string& labels = "");
   Histogram* histogram(const std::string& name, const std::string& help = "",
-                       const std::string& labels = "",
-                       const Histogram::Options& options = {});
+                       const std::string& labels = "");
 
   /// Registers a pull metric: `fn` is evaluated at snapshot() time. Use for
   /// values another structure already maintains (table occupancy, queue

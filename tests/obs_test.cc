@@ -16,9 +16,7 @@
 #include "obs/exporters.h"
 #include "obs/journey.h"
 #include "obs/metrics.h"
-#include "obs/sampling_profiler.h"
 #include "obs/scrape_server.h"
-#include "obs/stage_profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 
@@ -118,7 +116,7 @@ TEST(MetricsRegistry, AggregateSumsMatchingSeries) {
 // ---------------------------------------------------------------------------
 
 TEST(Histogram, SmallValuesGetExactUnitBuckets) {
-  Histogram h(Histogram::Options{.log2_subdivisions = 2});  // 4 subdivisions
+  Histogram h;  // 4 subdivisions
   for (std::uint64_t v = 0; v < 4; ++v) {
     EXPECT_EQ(h.bucket_index(v), v) << "value " << v;
     EXPECT_EQ(h.bucket_lower_bound(v), v);
@@ -126,7 +124,7 @@ TEST(Histogram, SmallValuesGetExactUnitBuckets) {
 }
 
 TEST(Histogram, EveryValueFallsInsideItsBucketBounds) {
-  Histogram h(Histogram::Options{.log2_subdivisions = 2});
+  Histogram h;
   const std::uint64_t probes[] = {
       0,    1,    3,         4,             5, 7, 8, 9, 15, 16, 17, 100,
       1023, 1024, 1'000'000, 1'000'000'000, std::uint64_t{1} << 40,
@@ -142,7 +140,7 @@ TEST(Histogram, EveryValueFallsInsideItsBucketBounds) {
 }
 
 TEST(Histogram, BucketBoundsAreMonotone) {
-  Histogram h(Histogram::Options{.log2_subdivisions = 2});
+  Histogram h;
   for (std::size_t i = 0; i + 1 < h.bucket_count(); ++i) {
     EXPECT_LT(h.bucket_lower_bound(i), h.bucket_lower_bound(i + 1))
         << "bucket " << i;
@@ -193,7 +191,7 @@ TEST(Histogram, ConcurrentRecordsAreLossless) {
 // ---------------------------------------------------------------------------
 
 TEST(HistogramQuantile, ExactForUnitBuckets) {
-  // Default log2_subdivisions=2: values below 8 land in exact unit buckets,
+  // kLog2Subdivisions=2: values below 8 land in exact unit buckets,
   // so interpolated quantiles match the textbook percentile exactly.
   MetricsRegistry registry;
   Histogram* h = registry.histogram("lat");
@@ -960,97 +958,6 @@ TEST(SwitchTelemetry, TraceDroppedGaugeTracksRingWraparound) {
 }
 
 // ---------------------------------------------------------------------------
-// SamplingProfiler
-// ---------------------------------------------------------------------------
-
-std::vector<std::size_t> sampled_indices(SamplingProfiler& profiler,
-                                         std::size_t packets) {
-  std::vector<std::size_t> sampled;
-  for (std::size_t i = 0; i < packets; ++i) {
-    if (profiler.begin_packet()) sampled.push_back(i);
-  }
-  return sampled;
-}
-
-TEST(SamplingProfiler, SameSeedSamplesTheSamePackets) {
-  MetricsRegistry ra;
-  MetricsRegistry rb;
-  SamplingProfiler a(ra, "p", {"s"});
-  SamplingProfiler b(rb, "p", {"s"});
-  const auto ia = sampled_indices(a, 100'000);
-  const auto ib = sampled_indices(b, 100'000);
-  EXPECT_EQ(ia, ib);  // determinism is a first-class property
-  EXPECT_EQ(a.sampled_packets(), ia.size());
-  // The gap draw is uniform on [1, 2*period), so the rate is ~1/period.
-  const double expected = 100'000.0 / static_cast<double>(a.period());
-  EXPECT_NEAR(static_cast<double>(ia.size()), expected, 0.2 * expected);
-
-  MetricsRegistry rc;
-  SamplingProfiler::Options reseeded;
-  reseeded.seed = 0xD1FFULL;
-  SamplingProfiler c(rc, "p", {"s"}, reseeded);
-  EXPECT_NE(sampled_indices(c, 100'000), ia);  // the seed is the stream
-}
-
-TEST(SamplingProfiler, PeriodOneSamplesEveryPacket) {
-  MetricsRegistry registry;
-  SamplingProfiler::Options every_packet;
-  every_packet.period = 1;
-  SamplingProfiler profiler(registry, "p", {"s"}, every_packet);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(profiler.begin_packet());
-  EXPECT_EQ(profiler.sampled_packets(), 100u);
-}
-
-TEST(SamplingProfiler, ReentryIsCountedAndScopeRecordsOnce) {
-  MetricsRegistry registry;
-  SamplingProfiler::Options every_packet;
-  every_packet.period = 1;
-  SamplingProfiler profiler(registry, "p", {"pipe"}, every_packet);
-  ASSERT_TRUE(profiler.begin_packet());
-  EXPECT_TRUE(profiler.enter(0));
-  EXPECT_FALSE(profiler.enter(0));  // nested — counted, not charged
-  profiler.exit(0, 500);
-  profiler.exit(0, 500);  // unmatched — ignored
-  const Snapshot snap = registry.snapshot();
-  const MetricSample* lat = snap.find("p_stage_latency_ns", "stage=\"pipe\"");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->count, 1u);  // single charge despite the nested enter
-  EXPECT_EQ(snap.value_of("p_profiler_reentry_total", "stage=\"pipe\""), 1.0);
-}
-
-TEST(SamplingProfiler, StagesAndVipSeriesAreNoOpsWhenNotSampling) {
-  MetricsRegistry registry;
-  SamplingProfiler::Options sparse;
-  sparse.period = 1'000'000;
-  SamplingProfiler profiler(registry, "p", {"pipe"}, sparse);
-  Histogram* vip = profiler.vip_series("10.0.0.1:80");
-  ASSERT_NE(vip, nullptr);
-  for (int i = 0; i < 100; ++i) {
-    if (profiler.begin_packet()) continue;  // expect: never sampled
-    EXPECT_FALSE(profiler.enter(0));
-    if (profiler.sampling()) vip->record(1);
-  }
-  const Snapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.find("p_stage_latency_ns", "stage=\"pipe\"")->count, 0u);
-  EXPECT_EQ(snap.find("p_vip_latency_ns", "vip=\"10.0.0.1:80\"")->count, 0u);
-}
-
-TEST(StageProfiler, EnterExitGuardsReentry) {
-  MetricsRegistry registry;
-  StageProfiler profiler(registry, "sp", 2);
-  EXPECT_TRUE(profiler.enter(0));
-  EXPECT_FALSE(profiler.enter(0));  // re-entry: counted, scope stays open
-  EXPECT_TRUE(profiler.enter(1));   // other stages are independent
-  profiler.exit(0, 100);
-  profiler.exit(1, 50);
-  profiler.exit(0, 100);  // unmatched — ignored
-  const Snapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.value_of("sp_stage_latency_ns_total", "stage=\"0\""), 100.0);
-  EXPECT_EQ(snap.value_of("sp_profiler_reentry_total", "stage=\"0\""), 1.0);
-  EXPECT_EQ(snap.value_of("sp_profiler_reentry_total", "stage=\"1\""), 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // Load-imbalance telemetry
 // ---------------------------------------------------------------------------
 
@@ -1136,28 +1043,24 @@ TEST(TimeSeriesRecorder, ImbalanceJsonRendersLatestAndWindow) {
 // /profile exporter
 // ---------------------------------------------------------------------------
 
-TEST(Exporters, ProfileJsonHasQuantilesAndSamplingCounters) {
+TEST(Exporters, ProfileJsonHasHistogramQuantiles) {
   MetricsRegistry registry;
-  Histogram* lat = registry.histogram("p_stage_latency_ns", "", "stage=\"s\"");
+  Histogram* lat = registry.histogram("p_latency_ns", "", "stage=\"s\"");
   for (std::uint64_t v = 1; v <= 1000; ++v) lat->record(v);
   registry.histogram("empty_lat");  // count 0 — must be skipped
-  registry.counter("p_sampled_packets_total")->inc(10);
-  registry.counter("p_profiler_reentry_total", "", "stage=\"s\"")->inc(2);
   registry.counter("unrelated_total")->inc(5);
 
   const std::string json = to_profile_json(registry.snapshot());
-  EXPECT_NE(json.find("\"name\":\"p_stage_latency_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"p_latency_ns\""), std::string::npos);
   for (const char* q : {"\"p50\":", "\"p90\":", "\"p99\":", "\"p999\":"}) {
     EXPECT_NE(json.find(q), std::string::npos) << q;
   }
   EXPECT_EQ(json.find("empty_lat"), std::string::npos);
-  EXPECT_NE(json.find("\"p_sampled_packets_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"p_profiler_reentry_total\""), std::string::npos);
   EXPECT_EQ(json.find("unrelated_total"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// Switch integration: per-DIP telemetry and the sampling profiler
+// Switch integration: per-DIP telemetry and per-stage hits
 // ---------------------------------------------------------------------------
 
 TEST(SwitchTelemetry, PerDipCountersTrackLearnsAndFinsDrainGauges) {
@@ -1197,32 +1100,31 @@ TEST(SwitchTelemetry, PerDipCountersTrackLearnsAndFinsDrainGauges) {
             static_cast<double>(kFlows));
 }
 
-TEST(SwitchTelemetry, SamplingProfilerRecordsStageAndVipLatency) {
+TEST(SwitchTelemetry, StageHitsCountDataPlaneHitsOnly) {
   sim::Simulator sim;
-  auto config = small_config();
-  config.profiler.period = 8;  // dense sampling so a small test sees samples
-  core::SilkRoadSwitch sw(sim, config);
+  core::SilkRoadSwitch sw(sim, small_config());
   sw.add_vip(vip_ep(), make_dips(4));
-  constexpr std::uint32_t kPackets = 400;
-  for (std::uint32_t i = 0; i < kPackets; ++i) {
-    sw.process_packet(packet_of(i % 50, i < 50));
-    sim.run();
+  constexpr std::uint32_t kFlows = 120;
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    sw.process_packet(packet_of(i, true));
+  }
+  // Every insert lands and its digest-conflict repair runs: CPU-side
+  // lookups, none of which is a packet hitting a stage.
+  sim.run();
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    sw.process_packet(packet_of(i, false));
   }
 
   const Snapshot snap = sw.metrics().snapshot();
-  const double sampled =
-      snap.value_of("silkroad_packet_sampled_packets_total");
-  EXPECT_GT(sampled, 0.0);
-  EXPECT_LT(sampled, kPackets);
-  const MetricSample* stage =
-      snap.find("silkroad_packet_stage_latency_ns", "stage=\"pipeline\"");
-  ASSERT_NE(stage, nullptr);
-  EXPECT_GT(stage->count, 0u);
-  EXPECT_LE(stage->count, static_cast<std::uint64_t>(sampled));
-  const MetricSample* vip = snap.find("silkroad_packet_vip_latency_ns",
-                                      "vip=\"" + vip_ep().to_string() + "\"");
-  ASSERT_NE(vip, nullptr);
-  EXPECT_EQ(vip->count, static_cast<std::uint64_t>(sampled));
+  double stage_hits = 0;
+  for (const auto& sample : snap.samples) {
+    if (sample.name == "silkroad_conn_table_stage_hits_total") {
+      stage_hits += sample.value;
+    }
+  }
+  EXPECT_EQ(snap.value_of("silkroad_conn_table_hits_total"),
+            static_cast<double>(kFlows));
+  EXPECT_EQ(stage_hits, static_cast<double>(kFlows));
 }
 
 TEST(SwitchTelemetry, TelemetryOffLeavesDataPlaneSeriesSilent) {
@@ -1237,13 +1139,12 @@ TEST(SwitchTelemetry, TelemetryOffLeavesDataPlaneSeriesSilent) {
   sim.run();
 
   const Snapshot snap = sw.metrics().snapshot();
-  EXPECT_EQ(snap.value_of("silkroad_packet_sampled_packets_total"), 0.0);
   for (const auto& sample : snap.samples) {
     EXPECT_NE(sample.name, "silkroad_dip_new_conns_total");
     EXPECT_NE(sample.name, "silkroad_dip_active_conns");
   }
   // The base packet counters are unconditional — telemetry off only
-  // disables the *added* profiling layers.
+  // disables the per-DIP series.
   EXPECT_GT(snap.value_of("silkroad_packets_total"), 0.0);
 }
 
