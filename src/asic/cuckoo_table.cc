@@ -234,14 +234,6 @@ std::vector<DigestCuckooTable::Entry> DigestCuckooTable::entries() const {
   return out;
 }
 
-std::size_t DigestCuckooTable::used_slot_count() const noexcept {
-  std::size_t used = 0;
-  for (const auto& slot : slots_) {
-    if (slot.used) ++used;
-  }
-  return used;
-}
-
 std::size_t DigestCuckooTable::used_in_stage(
     std::uint32_t stage) const noexcept {
   if (stage >= config_.stages) return 0;

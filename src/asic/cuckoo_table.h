@@ -202,14 +202,24 @@ class DigestCuckooTable {
     std::uint32_t value = 0;
     SlotRef slot;
   };
-  /// Snapshot of every installed entry in slot order (invariant-auditor
-  /// input).
+  /// Snapshot of every installed entry in slot order. It copies the whole
+  /// table; for_each_entry() visits the same entries in place.
   std::vector<Entry> entries() const;
 
-  /// Number of physically occupied slots. Always equals size() unless the
-  /// word array and the CPU's entry count have diverged — the "phantom SRAM
-  /// accounting" corruption the invariant auditor detects.
-  std::size_t used_slot_count() const noexcept;
+  /// Calls `fn(flow, flow_hash, value)` for every physically occupied slot
+  /// in slot order: the CPU shadow 5-tuple and flow hash plus the entry's
+  /// action data. One linear pass over the word array, no hashing; the
+  /// number of calls is the used-slot count, which equals size() unless the
+  /// word array and the CPU's entry count have diverged (the "phantom SRAM
+  /// accounting" corruption the invariant auditor detects).
+  template <typename Fn>
+  void for_each_entry(Fn&& fn) const {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].used) {
+        fn(shadow_keys_[i], shadow_hashes_[i], slots_[i].value);
+      }
+    }
+  }
 
   /// Occupied slots in physical stage `stage` (cuckoo fills earlier stages
   /// first, so the per-stage skew is itself a signal — paper §6.1).

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "asic/sram.h"
 #include "check/sr_check.h"
+#include "net/hash.h"
 #include "obs/forensics.h"
 #include "obs/trace.h"
 
@@ -30,130 +31,216 @@ Violation make(std::string invariant, std::string detail,
   return v;
 }
 
+// Cheap hash of an endpoint's words: the census resolves every entry's
+// `dst` through it, where find_vip would run an FNV pass over the bytes.
+struct EndpointMix {
+  std::size_t operator()(const net::Endpoint& ep) const noexcept {
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+    std::memcpy(&hi, ep.ip.bytes().data(), sizeof hi);
+    std::memcpy(&lo, ep.ip.bytes().data() + sizeof hi, sizeof lo);
+    return static_cast<std::size_t>(net::mix64(hi ^ net::mix64(lo ^ ep.port)));
+  }
+};
+
 }  // namespace
 
+struct InvariantAuditor::Census {
+  /// Connections of one (VIP, version), by where they live.
+  struct Tally {
+    std::int64_t installed = 0;
+    std::int64_t pending = 0;   ///< learned, not finished
+    std::int64_t finished = 0;  ///< pending, FIN already seen
+    std::int64_t degraded = 0;
+    bool live = false;  ///< the version has a pool
+    bool free = false;  ///< the version is in the recycling ring
+    std::int64_t total() const noexcept {
+      return installed + pending + finished + degraded;
+    }
+  };
+  struct VipRow {
+    net::Endpoint vip;
+    const core::VipVersionManager* versions = nullptr;
+    /// Indexed by version number, one per number in the version space.
+    std::vector<Tally> tallies;
+  };
+  std::vector<VipRow> rows;
+  std::unordered_map<net::Endpoint, std::size_t, EndpointMix> row_of;
+  /// Occupied ConnTable slots.
+  std::size_t used_slots = 0;
+  /// Flows (with their version) whose `dst` is no configured VIP or whose
+  /// version lies outside the VIP's version space, by where they live.
+  using Orphan = std::pair<net::FiveTuple, std::uint32_t>;
+  std::vector<Orphan> orphan_entries;
+  std::vector<Orphan> orphan_pending;  ///< unfinished only
+  std::vector<Orphan> orphan_degraded;
+  /// Flows counted twice: pending or degraded while also installed, or
+  /// degraded while also pending.
+  std::vector<net::FiveTuple> double_counted;
+
+  /// The tally `flow` counts toward, or nullptr for an orphan.
+  Tally* tally(const net::FiveTuple& flow, std::uint32_t version) {
+    const auto it = row_of.find(flow.dst);
+    if (it == row_of.end()) return nullptr;
+    auto& tallies = rows[it->second].tallies;
+    return version < tallies.size() ? &tallies[version] : nullptr;
+  }
+};
+
+InvariantAuditor::Census InvariantAuditor::take_census() const {
+  Census census;
+  census.rows.reserve(sw_.vips_.size());
+  for (const auto& [vip, state] : sw_.vips_) {
+    const auto& mgr = *state.versions;
+    Census::VipRow row{vip, &mgr,
+                       std::vector<Census::Tally>(mgr.version_capacity())};
+    for (const std::uint32_t version : mgr.live_versions()) {
+      if (version < row.tallies.size()) row.tallies[version].live = true;
+    }
+    for (const std::uint32_t version : mgr.free_versions()) {
+      if (version < row.tallies.size()) row.tallies[version].free = true;
+    }
+    census.row_of.emplace(vip, census.rows.size());
+    census.rows.push_back(std::move(row));
+  }
+
+  sw_.conn_table_.for_each_entry(
+      [&](const net::FiveTuple& flow, std::uint64_t, std::uint32_t version) {
+        ++census.used_slots;
+        if (auto* tally = census.tally(flow, version)) {
+          ++tally->installed;
+        } else {
+          census.orphan_entries.emplace_back(flow, version);
+        }
+      });
+  for (const auto& [key, info] : sw_.pending_) {
+    if (auto* tally = census.tally(key.tuple, info.version)) {
+      ++(info.dead ? tally->finished : tally->pending);
+    } else if (!info.dead) {
+      census.orphan_pending.emplace_back(key.tuple, info.version);
+    }
+    // The pending key carries its hash: this probe hashes nothing.
+    if (sw_.conn_table_.contains(key)) {
+      census.double_counted.push_back(key.tuple);
+    }
+  }
+  for (const auto& [flow, version] : sw_.degraded_flows_) {
+    if (auto* tally = census.tally(flow, version)) {
+      ++tally->degraded;
+    } else {
+      census.orphan_degraded.emplace_back(flow, version);
+    }
+    // Degraded pins exist only under shed/degraded admission; hashing each
+    // one here is off the common path.
+    const net::FlowKey key(flow);
+    if (sw_.pending_.contains(key) || sw_.conn_table_.contains(key)) {
+      census.double_counted.push_back(flow);
+    }
+  }
+  return census;
+}
+
 std::vector<Violation> InvariantAuditor::audit() const {
+  const Census census = take_census();
   std::vector<Violation> out;
-  check_version_liveness(out);
-  check_refcounts(out);
-  check_version_recycling(out);
+  check_version_liveness(census, out);
+  check_refcounts(census, out);
+  check_version_recycling(census, out);
   check_transit_window(out);
-  check_sram_accounting(out);
-  check_dip_pool_coverage(out);
+  check_sram_accounting(census, out);
+  check_dip_pool_coverage(census, out);
   return out;
 }
 
 void InvariantAuditor::check_version_liveness(
-    std::vector<Violation>& out) const {
-  for (const auto& [key, info] : sw_.pending_) {
-    const net::FiveTuple& flow = key.tuple;
-    if (info.dead) continue;  // eviction may have destroyed its version
-    const auto* state = sw_.find_vip(info.vip);
-    if (state == nullptr) {
-      out.push_back(make("version-liveness",
-                         "pending flow " + flow_str(flow) +
-                             " references unknown VIP " + info.vip.to_string(),
-                         info.vip));
-      continue;
-    }
-    if (state->versions->pool(info.version) == nullptr) {
-      out.push_back(make("version-liveness",
-                         "pending flow " + flow_str(flow) + " holds version " +
-                             std::to_string(info.version) +
-                             " which has no live pool",
-                         info.vip, info.version));
-    }
+    const Census& census, std::vector<Violation>& out) const {
+  for (const auto& [flow, version] : census.orphan_pending) {
+    out.push_back(make("version-liveness",
+                       "pending flow " + flow_str(flow) + " (version " +
+                           std::to_string(version) +
+                           ") references an unknown VIP or version",
+                       flow.dst, version));
   }
-  for (const auto& [flow, conn] : sw_.degraded_flows_) {
-    const auto* state = sw_.find_vip(conn.vip);
-    if (state == nullptr ||
-        state->versions->pool(conn.version) == nullptr) {
-      out.push_back(make("version-liveness",
-                         "degraded flow " + flow_str(flow) +
-                             " is pinned to version " +
-                             std::to_string(conn.version) +
-                             " which has no live pool",
-                         conn.vip, conn.version));
+  for (const auto& [flow, version] : census.orphan_degraded) {
+    out.push_back(make("version-liveness",
+                       "degraded flow " + flow_str(flow) + " (version " +
+                           std::to_string(version) +
+                           ") is pinned to an unknown VIP or version",
+                       flow.dst, version));
+  }
+  for (const auto& row : census.rows) {
+    for (std::uint32_t version = 0; version < row.tallies.size(); ++version) {
+      const auto& tally = row.tallies[version];
+      if (tally.live) continue;
+      if (tally.pending > 0) {
+        out.push_back(make("version-liveness",
+                           "vip " + row.vip.to_string() + ": " +
+                               std::to_string(tally.pending) +
+                               " pending flows hold version " +
+                               std::to_string(version) +
+                               " which has no live pool",
+                           row.vip, version));
+      }
+      if (tally.degraded > 0) {
+        out.push_back(make("version-liveness",
+                           "vip " + row.vip.to_string() + ": " +
+                               std::to_string(tally.degraded) +
+                               " degraded flows are pinned to version " +
+                               std::to_string(version) +
+                               " which has no live pool",
+                           row.vip, version));
+      }
     }
   }
 }
 
-void InvariantAuditor::check_refcounts(std::vector<Violation>& out) const {
-  for (const auto& [vip, state] : sw_.vips_) {
-    const auto& mgr = *state.versions;
-    for (const std::uint32_t version : mgr.live_versions()) {
-      const auto it = state.conns_by_version.find(version);
-      const std::int64_t tracked =
-          it == state.conns_by_version.end()
-              ? 0
-              : static_cast<std::int64_t>(it->second.size());
-      const std::int64_t counted = mgr.refcount(version);
-      if (counted != tracked) {
-        out.push_back(make(
-            "refcount-match",
-            "vip " + vip.to_string() + " version " + std::to_string(version) +
-                " refcount " + std::to_string(counted) + " != " +
-                std::to_string(tracked) + " tracked connections",
-            vip, version));
-      }
-    }
-    // Tracking must reference live versions only, every tracked flow must
-    // still exist somewhere (pending or installed), and no flow may be
-    // tracked under two versions at once.
-    std::unordered_set<net::FiveTuple, net::FiveTupleHash> seen;
-    for (const auto& [version, flows] : state.conns_by_version) {
-      if (mgr.pool(version) == nullptr) {
-        out.push_back(make("refcount-match",
-                           "vip " + vip.to_string() + " tracks " +
-                               std::to_string(flows.size()) +
-                               " connections under dead version " +
-                               std::to_string(version),
-                           vip, version));
-      }
-      for (const auto& flow : flows) {
-        if (!seen.insert(flow).second) {
-          out.push_back(make("refcount-match",
-                             "flow " + flow_str(flow) +
-                                 " tracked under two versions of vip " +
-                                 vip.to_string(),
-                             vip));
-        }
-        const net::FlowKey key(flow);
-        if (!sw_.pending_.contains(key) && !sw_.conn_table_.contains(key) &&
-            !sw_.degraded_flows_.contains(flow)) {
+void InvariantAuditor::check_refcounts(const Census& census,
+                                       std::vector<Violation>& out) const {
+  for (const auto& row : census.rows) {
+    for (std::uint32_t version = 0; version < row.tallies.size(); ++version) {
+      const auto& tally = row.tallies[version];
+      if (tally.live) {
+        const std::int64_t counted = row.versions->refcount(version);
+        if (counted != tally.total()) {
           out.push_back(make(
               "refcount-match",
-              "tracked flow " + flow_str(flow) + " (version " +
-                  std::to_string(version) +
-                  ") is neither pending, installed, nor degraded-pinned",
-              vip, version));
+              "vip " + row.vip.to_string() + " version " +
+                  std::to_string(version) + " refcount " +
+                  std::to_string(counted) + " != " +
+                  std::to_string(tally.total()) + " connections (" +
+                  std::to_string(tally.installed) + " installed, " +
+                  std::to_string(tally.pending + tally.finished) +
+                  " pending, " + std::to_string(tally.degraded) +
+                  " degraded)",
+              row.vip, version));
         }
+      } else if (tally.finished > 0) {
+        // A finished pending flow still owes its version a release; that
+        // release must not land on whatever pool the number goes to next.
+        out.push_back(make(
+            "refcount-match",
+            "vip " + row.vip.to_string() + ": " +
+                std::to_string(tally.finished) +
+                " finished pending flows hold destroyed version " +
+                std::to_string(version),
+            row.vip, version));
       }
     }
+  }
+  for (const auto& flow : census.double_counted) {
+    out.push_back(make("refcount-match",
+                       "flow " + flow_str(flow) +
+                           " is counted twice across ConnTable, pending and "
+                           "degraded state",
+                       flow.dst));
   }
 }
 
 void InvariantAuditor::check_version_recycling(
-    std::vector<Violation>& out) const {
-  // Versions referenced anywhere, keyed by VIP: ConnTable entries, non-dead
-  // pending connections, and the CPU's per-version tracking.
-  std::unordered_map<net::Endpoint,
-                     std::unordered_set<std::uint32_t>, net::EndpointHash>
-      referenced;
-  for (const auto& entry : sw_.conn_table_.entries()) {
-    referenced[entry.key.dst].insert(entry.value);
-  }
-  for (const auto& [key, info] : sw_.pending_) {
-    if (!info.dead) referenced[info.vip].insert(info.version);
-  }
-  for (const auto& [vip, state] : sw_.vips_) {
-    for (const auto& [version, flows] : state.conns_by_version) {
-      if (!flows.empty()) referenced[vip].insert(version);
-    }
-  }
-
-  for (const auto& [vip, state] : sw_.vips_) {
-    const auto& mgr = *state.versions;
+    const Census& census, std::vector<Violation>& out) const {
+  for (const auto& row : census.rows) {
+    const net::Endpoint& vip = row.vip;
+    const auto& mgr = *row.versions;
     auto free = mgr.free_versions();
     const auto live = mgr.live_versions();
 
@@ -183,15 +270,15 @@ void InvariantAuditor::check_version_recycling(
           vip));
     }
     // §4.4: a recycled version must never still be referenced.
-    if (const auto it = referenced.find(vip); it != referenced.end()) {
-      for (const std::uint32_t version : it->second) {
-        if (std::binary_search(free.begin(), free.end(), version)) {
-          out.push_back(make("version-recycling",
-                             "recycled version " + std::to_string(version) +
-                                 " of vip " + vip.to_string() +
-                                 " is still referenced",
-                             vip, version));
-        }
+    for (std::uint32_t version = 0; version < row.tallies.size(); ++version) {
+      const auto& tally = row.tallies[version];
+      if (tally.free && tally.total() > 0) {
+        out.push_back(make("version-recycling",
+                           "recycled version " + std::to_string(version) +
+                               " of vip " + vip.to_string() +
+                               " is still referenced by " +
+                               std::to_string(tally.total()) + " connections",
+                           vip, version));
       }
     }
   }
@@ -274,7 +361,7 @@ void InvariantAuditor::check_transit_window(std::vector<Violation>& out) const {
 }
 
 void InvariantAuditor::check_sram_accounting(
-    std::vector<Violation>& out) const {
+    const Census& census, std::vector<Violation>& out) const {
   const auto usage = sw_.memory_usage();
   const auto& cfg = sw_.conn_table_.config();
   const std::size_t geometry_bytes = asic::bits_to_bytes(
@@ -286,10 +373,10 @@ void InvariantAuditor::check_sram_accounting(
                            " B != geometry " +
                            std::to_string(geometry_bytes) + " B"));
   }
-  const std::size_t used = sw_.conn_table_.used_slot_count();
-  if (used != sw_.conn_table_.size()) {
+  if (census.used_slots != sw_.conn_table_.size()) {
     out.push_back(make("sram-accounting",
-                       "phantom SRAM occupancy: " + std::to_string(used) +
+                       "phantom SRAM occupancy: " +
+                           std::to_string(census.used_slots) +
                            " used slots vs " +
                            std::to_string(sw_.conn_table_.size()) +
                            " installed entries"));
@@ -317,32 +404,33 @@ void InvariantAuditor::check_sram_accounting(
 }
 
 void InvariantAuditor::check_dip_pool_coverage(
-    std::vector<Violation>& out) const {
-  for (const auto& [vip, state] : sw_.vips_) {
-    if (state.versions->pool(state.versions->current_version()) == nullptr) {
+    const Census& census, std::vector<Violation>& out) const {
+  for (const auto& row : census.rows) {
+    const std::uint32_t current = row.versions->current_version();
+    if (row.versions->pool(current) == nullptr) {
       out.push_back(make("dip-pool-coverage",
-                         "vip " + vip.to_string() + " current version " +
-                             std::to_string(state.versions->current_version()) +
-                             " has no pool",
-                         vip, state.versions->current_version()));
+                         "vip " + row.vip.to_string() + " current version " +
+                             std::to_string(current) + " has no pool",
+                         row.vip, current));
+    }
+    for (std::uint32_t version = 0; version < row.tallies.size(); ++version) {
+      const auto& tally = row.tallies[version];
+      if (tally.live || tally.installed == 0) continue;
+      out.push_back(make("dip-pool-coverage",
+                         "vip " + row.vip.to_string() + ": " +
+                             std::to_string(tally.installed) +
+                             " ConnTable entries resolve to version " +
+                             std::to_string(version) +
+                             " with no DIPPoolTable pool",
+                         row.vip, version));
     }
   }
-  for (const auto& entry : sw_.conn_table_.entries()) {
-    const auto* state = sw_.find_vip(entry.key.dst);
-    if (state == nullptr) {
-      out.push_back(make("dip-pool-coverage",
-                         "ConnTable entry " + flow_str(entry.key) +
-                             " targets unknown VIP"));
-      continue;
-    }
-    if (state->versions->pool(entry.value) == nullptr) {
-      out.push_back(make("dip-pool-coverage",
-                         "ConnTable entry " + flow_str(entry.key) +
-                             " resolves to version " +
-                             std::to_string(entry.value) +
-                             " with no DIPPoolTable pool",
-                         entry.key.dst, entry.value));
-    }
+  for (const auto& [flow, version] : census.orphan_entries) {
+    out.push_back(make("dip-pool-coverage",
+                       "ConnTable entry " + flow_str(flow) + " (version " +
+                           std::to_string(version) +
+                           ") targets an unknown VIP or version",
+                       flow.dst, version));
   }
 }
 

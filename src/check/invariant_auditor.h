@@ -9,15 +9,29 @@
 // finds instead of aborting on the first — so tests can assert on the precise
 // violation set.
 //
+// Every audit starts with one census: a single linear pass over the ConnTable
+// slot array (each occupied slot's shadow tuple `dst` names its VIP, its
+// value its version) plus the pending and degraded maps. It counts, per
+// (VIP, version), the installed, pending (finished ones included) and
+// degraded connections, and the occupied slots. No entry is copied out and
+// no tuple is hashed per entry; each entry's VIP is resolved through a
+// per-audit table of the switch's VIPs.
+//
 // Invariant families (the `invariant` field of each Violation):
-//   "version-liveness"    — every version referenced by a pending (non-dead)
-//                           connection has a live pool in its VIP's manager.
-//   "refcount-match"      — VersionManager refcounts equal the number of
-//                           connections the switch CPU tracks per version,
-//                           and every tracked flow is pending or installed.
+//   "version-liveness"    — every version a pending (unfinished) or
+//                           degraded-pinned connection uses has a live pool
+//                           in its VIP's manager.
+//   "refcount-match"      — each live version's VersionManager refcount
+//                           equals the census's installed + pending +
+//                           degraded count for it (so an entry that never
+//                           acquired its version is caught), no finished
+//                           pending flow holds a destroyed version, and no
+//                           flow is counted twice across ConnTable, pending
+//                           and degraded state.
 //   "version-recycling"   — the free ring buffer and the live pool set
 //                           partition the version space; a recycled version
-//                           is never referenced by any entry or pending flow.
+//                           is never referenced by any entry, pending or
+//                           degraded flow.
 //   "transit-window"      — the TransitTable is empty whenever no 3-step
 //                           update is in flight; in-flight state (update VIP,
 //                           old/new versions, member sets) is coherent.
@@ -64,15 +78,23 @@ class InvariantAuditor {
   /// healthy switch).
   std::vector<Violation> audit() const;
 
-  // Individual families, each appending its findings to `out`.
-  void check_version_liveness(std::vector<Violation>& out) const;
-  void check_refcounts(std::vector<Violation>& out) const;
-  void check_version_recycling(std::vector<Violation>& out) const;
-  void check_transit_window(std::vector<Violation>& out) const;
-  void check_sram_accounting(std::vector<Violation>& out) const;
-  void check_dip_pool_coverage(std::vector<Violation>& out) const;
-
  private:
+  /// Per-(VIP, version) connection counts from one pass (defined in the .cc).
+  struct Census;
+  Census take_census() const;
+
+  // Individual families, each appending its findings to `out`.
+  void check_version_liveness(const Census& census,
+                              std::vector<Violation>& out) const;
+  void check_refcounts(const Census& census, std::vector<Violation>& out) const;
+  void check_version_recycling(const Census& census,
+                               std::vector<Violation>& out) const;
+  void check_transit_window(std::vector<Violation>& out) const;
+  void check_sram_accounting(const Census& census,
+                             std::vector<Violation>& out) const;
+  void check_dip_pool_coverage(const Census& census,
+                               std::vector<Violation>& out) const;
+
   const core::SilkRoadSwitch& sw_;
 };
 
@@ -84,9 +106,10 @@ struct TestingHooks {
   /// tracking a connection (refcount skew).
   static void skew_refcount(core::SilkRoadSwitch& sw, const net::Endpoint& vip);
 
-  /// Installs a ConnTable entry stamped with `version` without any
-  /// control-plane tracking — pass a recycled (free) version number to plant
-  /// a stale version reference (§4.4 hazard).
+  /// Installs a ConnTable entry stamped with `version` without acquiring a
+  /// reference on it — pass a recycled (free) version number to plant a
+  /// stale version reference (§4.4 hazard), or a live one to plant an entry
+  /// its version's refcount does not count.
   static void inject_stale_conn_entry(core::SilkRoadSwitch& sw,
                                       const net::FiveTuple& flow,
                                       std::uint32_t version);

@@ -422,18 +422,16 @@ void SilkRoadSwitch::add_vip(const net::Endpoint& vip,
   vips_.insert_or_assign(vip, std::move(state));
 
   if (config_.capacity_telemetry) {
-    // Per-VIP SRAM attribution: version-tracked connections own their
-    // ConnTable entry's share of a word, plus the VIP's live pool rows. The
-    // probes survive reset()/re-provisioning by re-resolving the VIP.
+    // Per-VIP SRAM attribution: version-tracked connections (the sum of the
+    // live versions' refcounts) own their ConnTable entry's share of a word,
+    // plus the VIP's live pool rows. The probes survive
+    // reset()/re-provisioning by re-resolving the VIP.
     const unsigned entry_bits = conn_table_.entry_bits();
     auto vip_entries = [this, vip] {
       const VipState* vip_state = find_vip(vip);
       if (vip_state == nullptr) return std::uint64_t{0};
-      std::uint64_t entries = 0;
-      for (const auto& [version, flows] : vip_state->conns_by_version) {
-        entries += flows.size();
-      }
-      return entries;
+      return static_cast<std::uint64_t>(
+          vip_state->versions->total_refcount());
     };
     capacity_.register_vip(
         vip.to_string(), vip_entries,
@@ -466,8 +464,7 @@ SilkRoadSwitch::DipConnHandles& SilkRoadSwitch::dip_handles(
   return state.dip_conns.emplace(dip, handles).first->second;
 }
 
-void SilkRoadSwitch::release_dip_conn(VipState& state, const net::Endpoint&,
-                                      std::uint32_t version,
+void SilkRoadSwitch::release_dip_conn(VipState& state, std::uint32_t version,
                                       const net::FiveTuple& flow) {
   const auto dip = state.versions->select(version, flow);
   if (!dip) return;
@@ -548,9 +545,8 @@ void SilkRoadSwitch::learn_new_flow(const net::Endpoint& vip, VipState& state,
   trace_.record(obs::TraceEventKind::kLearn, state.trace_scope, version,
                 key.hash);
   learning_filter_.learn(key, version);
-  pending_.emplace(key, PendingConn{vip, version, sim_.now()});
+  pending_.emplace(key, PendingConn{version, sim_.now()});
   state.versions->acquire(version);
-  state.conns_by_version[version].insert(key.tuple);
   if (config_.data_plane_telemetry) {
     DipConnHandles& handles = dip_handles(state, vip, dip);
     handles.new_conns->inc();
@@ -735,7 +731,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
           } else if (const auto own = conn_table_.exact_value(key)) {
             // The flow's own entry sits behind the colliding one: erase it
             // too, or it outlives the connection.
-            enqueue_erase(key, vip, *own);
+            enqueue_erase(key, *own);
           }
         }
         result.dip = dip;
@@ -746,7 +742,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
       c_.conn_table_stage_hits[hit->slot.stage]->inc();
       conn_table_.touch(hit->slot, sim_.now());  // hardware hit bit
       result.dip = state->versions->select(hit->value, packet.flow);
-      if (packet.fin) enqueue_erase(key, vip, hit->value);
+      if (packet.fin) enqueue_erase(key, hit->value);
       return result;
     }
   }
@@ -773,11 +769,11 @@ lb::PacketResult SilkRoadSwitch::serve_miss(const net::Packet& packet,
       dg != degraded_flows_.end()) {
     // Shed/degraded admission under kPinVersion: served version-routed from
     // the pinned admission-time version, no ConnTable entry.
-    result.dip = state.versions->select(dg->second.version, packet.flow);
+    const std::uint32_t version = dg->second;
+    result.dip = state.versions->select(version, packet.flow);
     if (packet.fin) {
-      const DegradedConn conn = dg->second;
       degraded_flows_.erase(dg);
-      release_conn(conn.vip, packet.flow, conn.version);
+      release_conn(state, packet.flow, version);
     }
     return result;
   }
@@ -853,13 +849,14 @@ void SilkRoadSwitch::complete_insertion(const asic::LearnEvent& event) {
   if (p == pending_.end()) return;  // already resolved (evicted / duplicate)
   const PendingConn info = p->second;
   pending_.erase(p);
-  VipState* state = find_vip(info.vip);
+  const net::Endpoint& vip = event.flow.dst;
+  VipState* state = find_vip(vip);
   if (state == nullptr) return;
 
   if (info.dead) {
     // The flow finished while queued; nothing to install.
     untrack_digest(key);
-    release_conn(info.vip, event.flow, info.version);
+    release_conn(*state, event.flow, info.version);
   } else {
     // The insert-fail fault hook forces the BFS-budget-exhausted outcome so
     // chaos runs exercise the software-fallback path deterministically.
@@ -885,46 +882,37 @@ void SilkRoadSwitch::complete_insertion(const asic::LearnEvent& event) {
         trace_.record(obs::TraceEventKind::kSoftwareFallback,
                       state->trace_scope, info.version, key.hash);
       }
-      release_conn(info.vip, event.flow, info.version);
+      release_conn(*state, event.flow, info.version);
     }
   }
-  note_pending_resolved(info.vip, event.flow);
+  note_pending_resolved(vip, event.flow);
   // Insertions move occupancy without a packet in flight (sim.run() drains);
   // keep the ledger's fill-trend history sampled through such bursts.
   poll_capacity();
 }
 
 void SilkRoadSwitch::enqueue_erase(const net::FlowKey& key,
-                                   const net::Endpoint& vip,
                                    std::uint32_t version) {
   cpu_.enqueue(
-      [this, key, vip, version] {
+      [this, key, version] {
         aging_queue_.erase(key.tuple);
         if (conn_table_.erase(key)) {
           c_.erases->inc();
           untrack_digest(key);
-          release_conn(vip, key.tuple, version);
+          if (VipState* state = find_vip(key.tuple.dst); state != nullptr) {
+            release_conn(*state, key.tuple, version);
+          }
         }
       },
       key.hash);
 }
 
-void SilkRoadSwitch::release_conn(const net::Endpoint& vip,
-                                  const net::FiveTuple& flow,
+void SilkRoadSwitch::release_conn(VipState& state, const net::FiveTuple& flow,
                                   std::uint32_t version) {
-  VipState* state = find_vip(vip);
-  if (state == nullptr) return;
   // Before release(): the (version, flow) -> DIP mapping must still be live
   // to attribute the departure to the right DIP gauge.
-  if (config_.data_plane_telemetry) {
-    release_dip_conn(*state, vip, version, flow);
-  }
-  state->versions->release(version);
-  const auto it = state->conns_by_version.find(version);
-  if (it != state->conns_by_version.end()) {
-    it->second.erase(flow);
-    if (it->second.empty()) state->conns_by_version.erase(it);
-  }
+  if (config_.data_plane_telemetry) release_dip_conn(state, version, flow);
+  state.versions->release(version);
 }
 
 // ---------------------------------------------------------------------------
@@ -1042,7 +1030,9 @@ void SilkRoadSwitch::try_start_next_update() {
     awaiting_pre_.clear();
     transit_members_.clear();
     for (const auto& [key, info] : pending_) {
-      if (info.vip == update.vip && !info.dead) awaiting_pre_.insert(key.tuple);
+      if (key.tuple.dst == update.vip && !info.dead) {
+        awaiting_pre_.insert(key.tuple);
+      }
     }
     if (awaiting_pre_.empty()) {
       execute_flip();
@@ -1115,41 +1105,58 @@ void SilkRoadSwitch::note_pending_resolved(const net::Endpoint& vip,
   }
 }
 
-bool SilkRoadSwitch::evict_version_for(const net::Endpoint& /*vip*/,
+bool SilkRoadSwitch::evict_version_for(const net::Endpoint& vip,
                                        VipState& state) {
   const auto victim = state.versions->eviction_candidate();
   if (!victim) return false;
-  const auto it = state.conns_by_version.find(*victim);
-  if (it != state.conns_by_version.end()) {
-    for (const auto& flow : it->second) {
-      const auto dip = state.versions->select(*victim, flow);
-      if (dip) {
-        software_table_[flow] = *dip;
-        c_.software_fallback_conns->inc();
-        trace_.record(obs::TraceEventKind::kSoftwareFallback,
-                      state.trace_scope, *victim,
-                      net::FiveTupleHash{}(flow));
-        // The flow leaves version tracking wholesale (no release_conn), so
-        // settle its per-DIP active gauge here.
-        if (config_.data_plane_telemetry) {
-          const auto handles = state.dip_conns.find(*dip);
-          if (handles != state.dip_conns.end()) {
-            handles->second.active->add(-1.0);
-          }
-        }
-      }
-      const net::FlowKey key(flow);
-      if (conn_table_.erase(key)) {
-        c_.erases->inc();
-        untrack_digest(key);
-      }
-      if (const auto p = pending_.find(key); p != pending_.end()) {
-        p->second.dead = true;  // insertion will be skipped
-      }
-      degraded_flows_.erase(flow);  // now exact-pinned, not version-pinned
+  // The flow leaves version tracking without release_conn: pin it to its
+  // exact DIP in the software table (unless it already ended) and settle its
+  // per-DIP active gauge here.
+  const auto migrate = [&](const net::FiveTuple& flow, std::uint64_t hash,
+                           bool pin) {
+    const auto dip = state.versions->select(*victim, flow);
+    if (!dip) return;
+    if (pin) {
+      software_table_[flow] = *dip;
+      c_.software_fallback_conns->inc();
+      trace_.record(obs::TraceEventKind::kSoftwareFallback, state.trace_scope,
+                    *victim, hash);
     }
-    state.conns_by_version.erase(it);
+    if (config_.data_plane_telemetry) {
+      const auto handles = state.dip_conns.find(*dip);
+      if (handles != state.dip_conns.end()) handles->second.active->add(-1.0);
+    }
+  };
+  std::vector<net::FlowKey> installed;
+  conn_table_.for_each_entry([&](const net::FiveTuple& flow,
+                                 std::uint64_t hash, std::uint32_t version) {
+    if (version == *victim && flow.dst == vip) {
+      installed.emplace_back(flow, hash);
+    }
+  });
+  for (const net::FlowKey& key : installed) {
+    migrate(key.tuple, key.hash, /*pin=*/true);
+    if (conn_table_.erase(key)) {
+      c_.erases->inc();
+      untrack_digest(key);
+    }
   }
+  // Pending flows are dropped, not marked dead: their queued insertion then
+  // finds nothing to complete, so it cannot release the victim's number
+  // once stage_update_batch has handed it to a new pool.
+  std::erase_if(pending_, [&](const auto& entry) {
+    const auto& [key, info] = entry;
+    if (info.version != *victim || key.tuple.dst != vip) return false;
+    migrate(key.tuple, key.hash, /*pin=*/!info.dead);
+    untrack_digest(key);
+    return true;
+  });
+  std::erase_if(degraded_flows_, [&](const auto& entry) {
+    const auto& [flow, version] = entry;
+    if (version != *victim || flow.dst != vip) return false;
+    migrate(flow, net::flow_hash(flow), /*pin=*/true);
+    return true;
+  });
   state.versions->force_destroy(*victim);
   c_.versions_evicted->inc();
   return true;
@@ -1176,8 +1183,7 @@ void SilkRoadSwitch::aging_sweep() {
         trace_.record(obs::TraceEventKind::kAgedOut, state->trace_scope,
                       *version, key.hash);
       }
-      // The VIP is the flow's destination endpoint by construction.
-      enqueue_erase(key, flow.dst, *version);
+      enqueue_erase(key, *version);
     }
   }
   if (conn_table_.size() > 0 || !pending_.empty()) {
@@ -1228,9 +1234,8 @@ std::optional<net::Endpoint> SilkRoadSwitch::admit_without_insert(
   const auto dip = state.versions->select(version, flow);
   if (!dip) return std::nullopt;
   if (config_.shed_policy == ShedPolicy::kPinVersion) {
-    degraded_flows_.emplace(flow, DegradedConn{vip, version});
+    degraded_flows_.emplace(flow, version);
     state.versions->acquire(version);
-    state.conns_by_version[version].insert(flow);
     if (config_.data_plane_telemetry) {
       DipConnHandles& handles = dip_handles(state, vip, *dip);
       handles.new_conns->inc();
@@ -1316,7 +1321,7 @@ void SilkRoadSwitch::relearn_sweep() {
     // directly from the CPU's shadow record.
     info.enqueued = true;
     c_.relearns->inc();
-    if (const VipState* state = find_vip(info.vip); state != nullptr) {
+    if (const VipState* state = find_vip(key.tuple.dst); state != nullptr) {
       trace_.record(obs::TraceEventKind::kRelearn, state->trace_scope,
                     info.version, key.hash);
     }
@@ -1361,16 +1366,23 @@ void SilkRoadSwitch::reset() {
 }
 
 std::vector<net::FiveTuple> SilkRoadSwitch::failover_blast_radius() const {
-  std::unordered_set<net::FiveTuple, net::FiveTupleHash> flows;
-  for (const auto& [vip, state] : vips_) {
-    const std::uint32_t current = state.versions->current_version();
-    for (const auto& [version, conns] : state.conns_by_version) {
-      if (version == current) continue;
-      flows.insert(conns.begin(), conns.end());
+  // Version-tracked flows live in the ConnTable, pending_ and
+  // degraded_flows_; a scan of each finds those on an older version.
+  std::vector<net::FiveTuple> flows;
+  const auto note = [&](const net::FiveTuple& flow, std::uint32_t version) {
+    const VipState* state = find_vip(flow.dst);
+    if (state != nullptr && version != state->versions->current_version()) {
+      flows.push_back(flow);
     }
-  }
-  for (const auto& [flow, dip] : software_table_) flows.insert(flow);
-  return {flows.begin(), flows.end()};
+  };
+  conn_table_.for_each_entry(
+      [&](const net::FiveTuple& flow, std::uint64_t, std::uint32_t version) {
+        note(flow, version);
+      });
+  for (const auto& [key, info] : pending_) note(key.tuple, info.version);
+  for (const auto& [flow, version] : degraded_flows_) note(flow, version);
+  for (const auto& [flow, dip] : software_table_) flows.push_back(flow);
+  return flows;
 }
 
 std::string SilkRoadSwitch::debug_report() const {

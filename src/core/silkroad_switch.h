@@ -291,11 +291,11 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   };
 
   struct VipState {
+    /// The VIP's DIP-pool versions. Their refcounts are the switch's only
+    /// per-version connection count (§4.2); the flows behind a count are
+    /// found by scanning the ConnTable, pending_ and degraded_flows_, which
+    /// only eviction, failover and the auditor do.
     std::unique_ptr<VipVersionManager> versions;
-    /// CPU-side connection-to-pool tracking (§4.2): version -> flows.
-    std::unordered_map<std::uint32_t,
-                       std::unordered_set<net::FiveTuple, net::FiveTupleHash>>
-        conns_by_version;
     std::optional<asic::TwoRateThreeColorMeter> meter;
     bool meter_enforce = false;
     /// Interned VIP name in the switch's TraceRing.
@@ -305,8 +305,8 @@ class SilkRoadSwitch : public lb::LoadBalancer {
         dip_conns;
   };
 
+  /// A learned flow awaiting insertion; its VIP is the key tuple's `dst`.
   struct PendingConn {
-    net::Endpoint vip;
     std::uint32_t version = 0;
     /// When the flow entered the learning filter; the insert-latency
     /// histogram records install-time minus this.
@@ -316,13 +316,6 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     /// The learning notification reached the CPU queue. False past
     /// relearn_timeout means the notification was lost (see relearn_sweep).
     bool enqueued = false;
-  };
-
-  /// A flow admitted without a ConnTable entry under ShedPolicy::kPinVersion:
-  /// served version-routed, pinned to its admission-time version.
-  struct DegradedConn {
-    net::Endpoint vip;
-    std::uint32_t version = 0;
   };
 
   VipState* find_vip(const net::Endpoint& vip);
@@ -369,8 +362,8 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// recomputed from (version, flow), which PCC keeps stable for the flow's
   /// lifetime (a post-release mark_dip_down can drift a gauge by the flows
   /// that die after the DIP — acceptable for telemetry).
-  void release_dip_conn(VipState& state, const net::Endpoint& vip,
-                        std::uint32_t version, const net::FiveTuple& flow);
+  void release_dip_conn(VipState& state, std::uint32_t version,
+                        const net::FiveTuple& flow);
   /// Serves a brand-new flow without learning it (pending queue full, or
   /// degraded mode). Returns the chosen DIP.
   std::optional<net::Endpoint> admit_without_insert(const net::Endpoint& vip,
@@ -408,9 +401,11 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// idle switch leaves the event queue empty.
   void arm_aging_sweep();
   void aging_sweep();
-  void enqueue_erase(const net::FlowKey& key, const net::Endpoint& vip,
-                     std::uint32_t version);
-  void release_conn(const net::Endpoint& vip, const net::FiveTuple& flow,
+  /// Queues the CPU erase of an installed entry; the erase releases
+  /// `version` on the flow's VIP (the tuple's `dst`).
+  void enqueue_erase(const net::FlowKey& key, std::uint32_t version);
+  /// Drops one connection's reference on `version` of `state`'s VIP.
+  void release_conn(VipState& state, const net::FiveTuple& flow,
                     std::uint32_t version);
 
   // 3-step update machinery (global: one update in flight, queue behind it).
@@ -426,7 +421,11 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   void note_pending_resolved(const net::Endpoint& vip,
                              const net::FiveTuple& flow);
   /// Frees a version number by migrating a victim version's flows to exact
-  /// DIP mappings in the software table.
+  /// DIP mappings in the software table. The flows are found by scanning
+  /// the ConnTable, pending_ and degraded_flows_ (O(capacity); eviction only
+  /// happens on version-number exhaustion). Victim flows still pending are
+  /// dropped from pending_, so their queued insertion completes nothing and
+  /// releases nothing against the recycled number's next pool.
   bool evict_version_for(const net::Endpoint& vip, VipState& state);
 
   sim::Simulator& sim_;
@@ -487,8 +486,9 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// slow-path "small table" of §4.2/§7.
   std::unordered_map<net::FiveTuple, net::Endpoint, net::FiveTupleHash>
       software_table_;
-  /// kPinVersion shed/degraded admissions: flow -> pinned (vip, version).
-  std::unordered_map<net::FiveTuple, DegradedConn, net::FiveTupleHash>
+  /// kPinVersion shed/degraded admissions: flow -> pinned version (of the
+  /// flow's `dst` VIP). Served version-routed, with no ConnTable entry.
+  std::unordered_map<net::FiveTuple, std::uint32_t, net::FiveTupleHash>
       degraded_flows_;
   /// CPU-side digest index over pending+installed flows: their 64-bit flow
   /// hashes, grouped by the digest's low bits, from which the conflict

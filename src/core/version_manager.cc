@@ -181,6 +181,12 @@ std::int64_t VipVersionManager::refcount(std::uint32_t version) const {
   return it == pools_.end() ? -1 : it->second.refcount;
 }
 
+std::int64_t VipVersionManager::total_refcount() const {
+  std::int64_t total = 0;
+  for (const auto& [version, info] : pools_) total += info.refcount;
+  return total;
+}
+
 std::optional<std::uint32_t> VipVersionManager::eviction_candidate() const {
   std::optional<std::uint32_t> best;
   std::int64_t best_count = std::numeric_limits<std::int64_t>::max();

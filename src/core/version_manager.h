@@ -75,6 +75,8 @@ class VipVersionManager {
   /// the count reaches zero and the version is not current.
   void release(std::uint32_t version);
   std::int64_t refcount(std::uint32_t version) const;
+  /// Sum of the live versions' refcounts: every connection the VIP holds.
+  std::int64_t total_refcount() const;
 
   /// Picks the best eviction victim on exhaustion: the non-current version
   /// with the fewest connections. nullopt when only the current version

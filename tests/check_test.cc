@@ -108,6 +108,19 @@ TEST_F(CheckTest, DetectsStaleVersionReference) {
       std::count(families.begin(), families.end(), "dip-pool-coverage"));
 }
 
+TEST_F(CheckTest, DetectsUntrackedEntryInLiveVersion) {
+  establish(20);
+  // An entry stamped with the VIP's current version that never acquired a
+  // reference: the version is live, so recycling and coverage hold, and
+  // only the refcount re-derived from the table can tell.
+  const auto* mgr = sw_.version_manager(vip_ep());
+  ASSERT_NE(mgr, nullptr);
+  check::TestingHooks::inject_stale_conn_entry(sw_, make_flow(9'000),
+                                               mgr->current_version());
+  const auto families = violated_invariants();
+  EXPECT_TRUE(std::count(families.begin(), families.end(), "refcount-match"));
+}
+
 TEST_F(CheckTest, DetectsPhantomSramAccounting) {
   establish(20);
   check::TestingHooks::corrupt_slot_accounting(sw_);

@@ -319,22 +319,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PccProperty,
 
 class AuditorProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(AuditorProperty, CleanAfterEveryUpdateStep) {
+// 120 steps of a SYN burst, a random pool update and an occasional FIN, with
+// an audit at request time and again once the simulation has run on for
+// `settle` (0: until the event queue drains). Returns the switch's counters.
+core::SilkRoadSwitch::Stats audit_every_update_step(
+    std::uint64_t seed, const core::SilkRoadSwitch::Config& config,
+    sim::Time settle) {
   sim::Simulator sim;
-  core::SilkRoadSwitch::Config config;
-  config.conn_table = core::SilkRoadSwitch::conn_table_for(5'000);
-  config.learning = {.capacity = 128, .timeout = sim::kMillisecond};
-  config.version_bits = 4;  // tight: exercises recycling + eviction paths
   core::SilkRoadSwitch sw(sim, config);
   const auto dips = make_dips(16);
   sw.add_vip(vip_ep(), dips);
   const check::InvariantAuditor auditor(sw);
-  sim::Rng rng(GetParam());
+  sim::Rng rng(seed);
 
   const auto audit_now = [&](const char* when, int step) {
     for (const auto& violation : auditor.audit()) {
-      ADD_FAILURE() << "seed " << GetParam() << " step " << step << " ("
-                    << when << "): " << violation.to_string();
+      ADD_FAILURE() << "seed " << seed << " step " << step << " (" << when
+                    << "): " << violation.to_string();
     }
   };
 
@@ -349,8 +350,7 @@ TEST_P(AuditorProperty, CleanAfterEveryUpdateStep) {
       sw.process_packet(syn);
     }
     // ...then a pool update, audited at request time (Step1 of the 3-step
-    // protocol may already be open) and again once the queue drains (the
-    // window has committed and closed).
+    // protocol may already be open) and again once the step has settled.
     workload::DipUpdate update;
     update.at = sim.now();
     update.vip = vip_ep();
@@ -367,10 +367,40 @@ TEST_P(AuditorProperty, CleanAfterEveryUpdateStep) {
       fin.size_bytes = 64;
       sw.process_packet(fin);
     }
-    sim.run();
-    audit_now("drained", step);
+    if (settle == 0) {
+      sim.run();
+    } else {
+      sim.run_until(sim.now() + settle);
+    }
+    audit_now("settled", step);
   }
+  sim.run();
+  audit_now("drained", 120);
   EXPECT_GT(sw.stats().updates_completed, 0u);
+  return sw.stats();
+}
+
+TEST_P(AuditorProperty, CleanAfterEveryUpdateStep) {
+  core::SilkRoadSwitch::Config config;
+  config.conn_table = core::SilkRoadSwitch::conn_table_for(5'000);
+  config.learning = {.capacity = 128, .timeout = sim::kMillisecond};
+  config.version_bits = 4;  // tight: exercises recycling + eviction paths
+  // Each step drains: the window has committed and closed.
+  audit_every_update_step(GetParam(), config, /*settle=*/0);
+}
+
+TEST_P(AuditorProperty, CleanAcrossEvictionOfPendingFlows) {
+  core::SilkRoadSwitch::Config config;
+  config.conn_table = core::SilkRoadSwitch::conn_table_for(5'000);
+  config.learning = {.capacity = 128, .timeout = sim::kMillisecond};
+  // Without the TransitTable every update flips at once, and steps 10 us
+  // apart outrun the 1 ms learning timeout: 4 version numbers run out while
+  // the victim version's flows are still pending insertion.
+  config.version_bits = 2;
+  config.use_transit_table = false;
+  const auto stats =
+      audit_every_update_step(GetParam(), config, 10 * sim::kMicrosecond);
+  EXPECT_GT(stats.versions_evicted, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AuditorProperty,

@@ -466,6 +466,46 @@ TEST(SilkRoadSwitch, VersionExhaustionEvictsAndContinues) {
   EXPECT_GT(sw.stats().software_fallback_conns, 0u);
 }
 
+TEST(SilkRoadSwitch, EvictingVersionWithPendingFlowsReleasesNothing) {
+  // Without the TransitTable an update flips at once, so the next update can
+  // exhaust the 4 version numbers and evict a version whose flows are still
+  // pending insertion. The evicted number goes straight to the new pool;
+  // completing the victim's pending flows must not release it.
+  sim::Simulator sim;
+  auto config = small_config();
+  config.version_bits = 2;
+  config.enable_version_reuse = false;
+  config.use_transit_table = false;
+  SilkRoadSwitch sw(sim, config);
+  const auto dips = make_dips(16);
+  sw.add_vip(vip_ep(), dips);
+  for (std::uint32_t round = 0; round < 10; ++round) {
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      sw.process_packet(packet_of(round * 100 + i, true));
+    }
+    sw.request_update(remove_update(dips[round]));
+    sim.run_until(sim.now() + 10 * sim::kMicrosecond);
+    sw.self_check();
+  }
+  sim.run();
+  sw.self_check();
+  EXPECT_EQ(sw.stats().updates_completed, 10u);
+  EXPECT_GT(sw.stats().versions_evicted, 0u);
+  // Every flow still holding a version is counted exactly once by its
+  // refcount: ending them all leaves no reference behind.
+  for (std::uint32_t round = 0; round < 10; ++round) {
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      sw.process_packet(packet_of(round * 100 + i, false, true));
+    }
+  }
+  sim.run();
+  sw.self_check();
+  const auto* mgr = sw.version_manager(vip_ep());
+  ASSERT_NE(mgr, nullptr);
+  EXPECT_EQ(mgr->active_versions(), 1u);
+  EXPECT_EQ(mgr->refcount(mgr->current_version()), 0);
+}
+
 TEST(SilkRoadSwitch, MeterMarksAndDrops) {
   sim::Simulator sim;
   SilkRoadSwitch sw(sim, small_config());
