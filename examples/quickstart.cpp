@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "core/silkroad_switch.h"
+#include "deploy/convergence.h"
 #include "deploy/fleet.h"
 #include "obs/exporters.h"
 #include "obs/journey.h"
@@ -186,15 +187,29 @@ int main() {
     sim.run();
   }
   sim.run();
-  fleet.observer()->evaluate(sim.now());
+  deploy::FleetObserver& observer = *fleet.observer();
+  observer.evaluate(sim.now());
+  // Each live switch's maintained digest must equal the desired digest and
+  // a from-scratch VipDigest over the pool its data plane serves.
+  bool digests_match = true;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    if (observer.state(i) != deploy::FleetObserver::SwitchState::kLive) {
+      continue;
+    }
+    const auto* mgr = fleet.switch_at(i).version_manager(fleet_vip);
+    const std::uint64_t recomputed = deploy::VipDigest::of(
+        fleet_vip, mgr->pool(mgr->current_version())->members());
+    digests_match = digests_match &&
+                    observer.switch_digest(i) == observer.desired_digest() &&
+                    recomputed == observer.desired_digest();
+  }
   std::printf("\nfleet: %zu/%zu live, converged=%d; observer: head=%llu "
-              "slo_ok=%d divergences=%llu (digest self-check %s)\n",
+              "slo_ok=%d divergences=%llu (digests %s)\n",
               fleet.live_count(), fleet.size(), fleet.converged() ? 1 : 0,
-              static_cast<unsigned long long>(fleet.observer()->head()),
-              fleet.observer()->slo_ok() ? 1 : 0,
-              static_cast<unsigned long long>(
-                  fleet.observer()->divergences()),
-              fleet.observer()->verify_digests() ? "ok" : "FAILED");
+              static_cast<unsigned long long>(fleet.journal_head()),
+              observer.slo_ok() ? 1 : 0,
+              static_cast<unsigned long long>(observer.divergences()),
+              digests_match ? "match" : "MISMATCH");
 
   // With SILKROAD_TELEMETRY_DIR set, dump all three telemetry formats: the
   // Prometheus text and JSON snapshot of every metric, and the trace ring as

@@ -3,8 +3,9 @@
 tools/srlint/ (DESIGN.md §13). This file keeps the historical entry point —
 the `lint` ctest and scripts/check.sh invoke it — and forwards everything.
 
-Run `python3 tools/srlint --list-rules` for the rule catalog (R1–R10, R12–R14;
-R11 was retired with the sharded counters it policed).
+Run `python3 tools/srlint --list-rules` for the rule catalog (R1–R10, R12–R13;
+R11 and R14 were retired with the sharded counters and the observer's
+membership mirrors they policed).
 """
 
 import os

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "check/sr_check.h"
+#include "deploy/convergence.h"
 #include "net/hash.h"
 
 namespace silkroad::deploy {
@@ -35,7 +36,6 @@ SilkRoadFleet::SilkRoadFleet(sim::Simulator& simulator,
     switches_.push_back(
         std::make_unique<core::SilkRoadSwitch>(simulator, config));
     fault::ControlChannel::Config per_switch = channel;
-    // srlint: allow(R14) channel-seed derivation, not a membership digest.
     per_switch.seed = channel.seed ^ net::mix64(ecmp_seed + i + 1);
     channels_.push_back(std::make_unique<fault::ControlChannel>(
         simulator, per_switch,
@@ -52,19 +52,12 @@ SilkRoadFleet::SilkRoadFleet(sim::Simulator& simulator,
     const auto leg = static_cast<std::uint32_t>(i);
     channels_.back()->bind_spans(&spans_, leg);
     switches_.back()->bind_spans(&spans_, leg);
-    // Resync-session open notification (window-wipe edge): the observer
-    // suspends digest checks for the session before any chunk is computed.
-    channels_.back()->set_session_hook(
-        [this, i](std::uint64_t session, sim::Time now) {
-          if (observer_ != nullptr) observer_->on_session_open(i, session, now);
-        });
   }
   if (sync_.observe_convergence) {
-    observer_ =
-        std::make_unique<obs::FleetObserver>(replicas, sync_.observer);
+    observer_ = std::make_unique<FleetObserver>(*this);
     observer_->bind_metrics(fleet_metrics_);
     observer_->set_divergence_callback(
-        [this](const obs::DivergenceFinding& finding) {
+        [this](const DivergenceFinding& finding) {
           // Assemble the incident report while the trace ring still holds
           // the window: the diverged switch's events interleaved with every
           // overlapping update/resync span, plus per-VIP attribution.
@@ -142,50 +135,69 @@ SilkRoadFleet::SilkRoadFleet(sim::Simulator& simulator,
       "resync session duration, session open to final chunk applied");
 }
 
+SilkRoadFleet::~SilkRoadFleet() = default;
+
 void SilkRoadFleet::add_vip(const net::Endpoint& vip,
                             const std::vector<net::Endpoint>& dips) {
+  // A restoring switch gets the config here too: its resync was computed
+  // before this append, and a later delivery would move its watermark past
+  // this position without it ever applying the VIP.
+  const auto in_service = [this](std::size_t i) {
+    return alive_[i] || restoring_[i];
+  };
   std::uint64_t pos = 0;
+  std::uint64_t desired = 0;
   {
     const sr::MutexLock lock(mu_);
-    if (!membership_.contains(vip)) vip_order_.push_back(vip);
-    membership_[vip] = dips;
+    const auto [it, fresh] = membership_.try_emplace(vip);
+    if (fresh) {
+      vip_order_.push_back(vip);
+    } else {
+      desired_digest_ ^= DigestedPool(vip, it->second).digest();
+    }
+    it->second = dips;
+    const DigestedPool pool(vip, dips);
+    desired_digest_ ^= pool.digest();
+    desired = desired_digest_;
     pos = journal_.append(fault::VipConfig{vip, dips});
     for (std::size_t i = 0; i < switches_.size(); ++i) {
-      if (!alive_[i]) continue;
-      applied_[i][vip] = DipSet(dips.begin(), dips.end());
+      if (!in_service(i)) continue;
+      applied_[i].insert_or_assign(vip, pool);
       // The synchronous config does not advance the watermark — a delta
       // session replays the VipConfig record and the diff no-ops — so the
       // cadence checkpoint below is what makes it durable.
       note_applied_locked(i);
     }
   }
-  if (observer_ != nullptr) {
-    observer_->on_append_config(pos, sim_.now(), vip, dips);
-    // The synchronous application lands at an out-of-band journal position:
-    // the observer extends each switch's effective watermark through it.
-    for (std::size_t i = 0; i < switches_.size(); ++i) {
-      if (alive_[i]) observer_->on_mirror_config(i, vip, dips, pos, sim_.now());
-    }
-  }
+  // The in-service switches now hold `pos` out of band.
+  if (observer_ != nullptr) observer_->on_append(pos, sim_.now(), desired, true);
   for (std::size_t i = 0; i < switches_.size(); ++i) {
-    if (alive_[i]) switches_[i]->add_vip(vip, dips);
+    if (in_service(i)) switches_[i]->add_vip(vip, dips);
   }
 }
 
 void SilkRoadFleet::request_update(const workload::DipUpdate& update) {
   std::uint64_t pos = 0;
+  std::uint64_t desired = 0;
   {
     const sr::MutexLock lock(mu_);
-    auto& members = membership_[update.vip];
+    const auto [it, fresh] = membership_.try_emplace(update.vip);
+    if (fresh) desired_digest_ ^= VipDigest::presence_token(update.vip);
+    auto& members = it->second;
+    bool changed = false;
     if (update.action == workload::UpdateAction::kAddDip) {
       if (std::find(members.begin(), members.end(), update.dip) ==
           members.end()) {
         members.push_back(update.dip);
+        changed = true;
       }
     } else {
-      members.erase(std::remove(members.begin(), members.end(), update.dip),
-                    members.end());
+      changed = std::erase(members, update.dip) != 0;
     }
+    if (changed) {
+      desired_digest_ ^= VipDigest::member_token(update.vip, update.dip);
+    }
+    desired = desired_digest_;
     // Journal the intent under its fleet log position; the journaled copy is
     // untraced (span ids are per-send, the journal is per-mutation).
     workload::DipUpdate journaled = update;
@@ -194,9 +206,7 @@ void SilkRoadFleet::request_update(const workload::DipUpdate& update) {
     pos = journal_.append(std::move(journaled));
   }
   if (observer_ != nullptr) {
-    observer_->on_append_update(
-        pos, sim_.now(), update.vip, update.dip,
-        update.action == workload::UpdateAction::kAddDip);
+    observer_->on_append(pos, sim_.now(), desired, false);
   }
   // Mint the intent span; the stamped id rides in every channel copy and
   // survives retransmits, duplicates, and resync escalation. Sends happen
@@ -252,13 +262,11 @@ void SilkRoadFleet::deliver_to(std::size_t index,
   bool duplicate = false;
   {
     const sr::MutexLock lock(mu_);
-    auto& dips = applied_[index][update.vip];
-    if (update.action == workload::UpdateAction::kAddDip) {
-      // Duplicate delivery (lost ack / retransmit race): already applied.
-      duplicate = !dips.insert(update.dip).second;
-    } else {
-      duplicate = dips.erase(update.dip) == 0;
-    }
+    DigestedPool& pool = applied_pool_locked(index, update.vip);
+    // Duplicate delivery (lost ack / retransmit race): already applied.
+    duplicate = update.action == workload::UpdateAction::kAddDip
+                    ? !pool.insert(update.dip)
+                    : !pool.erase(update.dip);
     // In-order delivery applied (or confirmed as already-applied) this log
     // position: the replica is caught up through it.
     if (update.log_pos != 0) {
@@ -266,23 +274,6 @@ void SilkRoadFleet::deliver_to(std::size_t index,
           std::max(applied_through_[index], update.log_pos);
     }
     if (!duplicate) note_applied_locked(index);
-  }
-  if (observer_ != nullptr) {
-    // Mirror mutation and watermark advance as one fused feed: the digest
-    // check at the new position sees the state that position produced.
-    if (!duplicate && update.log_pos != 0) {
-      observer_->on_delivery(index, update.vip, update.dip,
-                             update.action == workload::UpdateAction::kAddDip,
-                             update.log_pos, sim_.now());
-    } else if (!duplicate) {
-      observer_->on_mirror_update(
-          index, update.vip, update.dip,
-          update.action == workload::UpdateAction::kAddDip, update.log_pos,
-          sim_.now());
-    } else if (update.log_pos != 0) {
-      // Content-deduped duplicate: still confirms the position.
-      observer_->on_watermark(index, update.log_pos, sim_.now());
-    }
   }
   if (duplicate) {
     spans_.record(update.update_id, obs::SpanEventKind::kSkipped, leg,
@@ -328,10 +319,9 @@ void SilkRoadFleet::begin_resync_session(std::size_t index) {
   resync_started_[index] = sim_.now();
   const std::uint64_t session = channels_[index]->active_resync_id();
   if (observer_ != nullptr) {
-    const auto kind = full ? obs::FleetObserver::ResyncKind::kFull
-                     : records.empty()
-                         ? obs::FleetObserver::ResyncKind::kEmpty
-                         : obs::FleetObserver::ResyncKind::kDelta;
+    const auto kind = full             ? FleetObserver::ResyncKind::kFull
+                      : records.empty() ? FleetObserver::ResyncKind::kEmpty
+                                        : FleetObserver::ResyncKind::kDelta;
     observer_->on_resync_begin(index, session, kind, sim_.now());
   }
   const auto leg = static_cast<std::uint32_t>(index);
@@ -390,9 +380,6 @@ void SilkRoadFleet::apply_chunk(std::size_t index,
     // next session from this chunk's watermark, not from zero.
     checkpoint_switch_locked(index);
   }
-  if (observer_ != nullptr) {
-    observer_->on_watermark(index, chunk.watermark_after, sim_.now());
-  }
   const auto leg = static_cast<std::uint32_t>(index);
   spans_.record(chunk.span_id, obs::SpanEventKind::kResyncApply, leg,
                 sim_.now(), chunk.chunk_index, chunk.entries.size());
@@ -418,12 +405,8 @@ void SilkRoadFleet::apply_vip_config(std::size_t index,
   if (sw.version_manager(config.vip) == nullptr) {
     {
       const sr::MutexLock lock(mu_);
-      applied_[index][config.vip] =
-          DipSet(config.dips.begin(), config.dips.end());
-    }
-    if (observer_ != nullptr) {
-      observer_->on_mirror_config(index, config.vip, config.dips, 0,
-                                  sim_.now());
+      applied_[index].insert_or_assign(config.vip,
+                                       DigestedPool(config.vip, config.dips));
     }
     sw.add_vip(config.vip, config.dips);
     return;
@@ -436,8 +419,8 @@ void SilkRoadFleet::apply_vip_config(std::size_t index,
   std::vector<workload::DipUpdate> deltas;
   {
     const sr::MutexLock lock(mu_);
-    auto& have = applied_[index][config.vip];
-    const DipSet want(config.dips.begin(), config.dips.end());
+    DigestedPool& have = applied_pool_locked(index, config.vip);
+    const DigestedPool::DipSet want(config.dips.begin(), config.dips.end());
     for (const auto& dip : config.dips) {
       if (have.contains(dip)) continue;
       workload::DipUpdate update;
@@ -452,7 +435,7 @@ void SilkRoadFleet::apply_vip_config(std::size_t index,
     // the re-issued removals — and therefore their span ids and 3-step
     // executions — happen in the same order on every platform and run.
     std::vector<net::Endpoint> stale;
-    for (const auto& dip : have) {
+    for (const auto& dip : have.dips()) {
       if (!want.contains(dip)) stale.push_back(dip);
     }
     std::sort(stale.begin(), stale.end());
@@ -465,10 +448,7 @@ void SilkRoadFleet::apply_vip_config(std::size_t index,
       update.cause = workload::UpdateCause::kRemoval;
       deltas.push_back(std::move(update));
     }
-    have = want;
-  }
-  if (observer_ != nullptr) {
-    observer_->on_mirror_config(index, config.vip, config.dips, 0, sim_.now());
+    have.assign(config.dips);
   }
   for (auto& update : deltas) {
     spans_.begin_update(update, sim_.now(), parent_id);
@@ -486,27 +466,25 @@ void SilkRoadFleet::apply_journaled_update(std::size_t index,
   bool duplicate = false;
   {
     const sr::MutexLock lock(mu_);
-    auto& dips = applied_[index][update.vip];
-    if (update.action == workload::UpdateAction::kAddDip) {
-      duplicate = !dips.insert(update.dip).second;
-    } else {
-      duplicate = dips.erase(update.dip) == 0;
-    }
+    DigestedPool& pool = applied_pool_locked(index, update.vip);
+    duplicate = update.action == workload::UpdateAction::kAddDip
+                    ? !pool.insert(update.dip)
+                    : !pool.erase(update.dip);
   }
   // Already applied (the snapshot or an earlier delivery carried it): the
   // replay is idempotent, nothing to re-execute.
   if (duplicate) return;
-  if (observer_ != nullptr) {
-    observer_->on_mirror_update(
-        index, update.vip, update.dip,
-        update.action == workload::UpdateAction::kAddDip, 0, sim_.now());
-  }
   workload::DipUpdate replay = update;
   replay.at = sim_.now();
   replay.update_id = 0;
   replay.log_pos = 0;
   spans_.begin_update(replay, sim_.now(), parent_id);
   sw.request_update(replay);
+}
+
+DigestedPool& SilkRoadFleet::applied_pool_locked(std::size_t index,
+                                                 const net::Endpoint& vip) {
+  return applied_.at(index).try_emplace(vip, vip).first->second;
 }
 
 void SilkRoadFleet::note_applied_locked(std::size_t index) {
@@ -526,7 +504,7 @@ void SilkRoadFleet::checkpoint_switch_locked(std::size_t index) {
     members.vip = vip;
     // The mirror is an unordered set (R10): sort so the checkpoint — and the
     // restore-time add_vip replay it drives — is deterministic.
-    members.dips.assign(it->second.begin(), it->second.end());
+    members.dips.assign(it->second.dips().begin(), it->second.dips().end());
     std::sort(members.dips.begin(), members.dips.end());
     snapshot.vips.push_back(std::move(members));
   }
@@ -610,16 +588,11 @@ void SilkRoadFleet::restore_switch(std::size_t index) {
     snapshot = snapshots_.at(index);
     applied_[index].clear();
     for (const auto& entry : snapshot.vips) {
-      applied_[index][entry.vip] = DipSet(entry.dips.begin(), entry.dips.end());
+      applied_[index].insert_or_assign(entry.vip,
+                                       DigestedPool(entry.vip, entry.dips));
     }
     applied_through_[index] = snapshot.watermark;
     since_checkpoint_[index] = 0;
-  }
-  if (observer_ != nullptr) {
-    observer_->on_restore_begin(index, snapshot.watermark, sim_.now());
-    for (const auto& entry : snapshot.vips) {
-      observer_->on_mirror_config(index, entry.vip, entry.dips, 0, sim_.now());
-    }
   }
   for (const auto& entry : snapshot.vips) {
     switches_[index]->add_vip(entry.vip, entry.dips);
@@ -648,7 +621,7 @@ bool SilkRoadFleet::converged() const {
       const auto* pool = mgr->pool(mgr->current_version());
       if (pool == nullptr) return false;
       const auto live = pool->members();
-      const DipSet have(live.begin(), live.end());
+      const DigestedPool::DipSet have(live.begin(), live.end());
       const auto& desired = membership_.at(vip);
       if (have.size() != desired.size()) return false;
       for (const auto& dip : desired) {
@@ -754,16 +727,14 @@ void SilkRoadFleet::inject_mirror_corruption(std::size_t index,
                                              bool add) {
   {
     const sr::MutexLock lock(mu_);
-    auto& dips = applied_.at(index)[vip];
+    DigestedPool& pool = applied_pool_locked(index, vip);
     if (add) {
-      dips.insert(dip);
+      pool.insert(dip);
     } else {
-      dips.erase(dip);
+      pool.erase(dip);
     }
   }
-  if (observer_ != nullptr) {
-    observer_->on_mirror_update(index, vip, dip, add, 0, sim_.now());
-  }
+  if (observer_ != nullptr) observer_->evaluate(sim_.now());
 }
 
 }  // namespace silkroad::deploy

@@ -18,19 +18,20 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "check/thread_annotations.h"
 #include "core/silkroad_switch.h"
 #include "deploy/journal.h"
 #include "deploy/snapshot.h"
+#include "deploy/vip_digest.h"
 #include "fault/control_channel.h"
 #include "lb/load_balancer.h"
-#include "obs/convergence.h"
 #include "obs/forensics.h"
 
 namespace silkroad::deploy {
+
+class FleetObserver;
 
 /// Incremental state-sync knobs (DESIGN.md §16). Namespace-scope so the
 /// constructor's defaulted parameter can use it before SilkRoadFleet is
@@ -45,11 +46,9 @@ struct SyncConfig {
   /// Checkpoint a switch's snapshot every N applied mutations (resync
   /// chunk boundaries always checkpoint in addition).
   std::size_t checkpoint_every = 8;
-  /// Feed the convergence observatory (DESIGN.md §17): watermark-lag SLO,
+  /// Run the convergence observatory (DESIGN.md §17): watermark-lag SLO,
   /// digest divergence detection, /fleet scrape data.
   bool observe_convergence = true;
-  /// Observer tuning (lag hysteresis, SLO target, digest history).
-  obs::FleetObserver::Options observer;
 };
 
 class SilkRoadFleet : public lb::LoadBalancer {
@@ -65,12 +64,13 @@ class SilkRoadFleet : public lb::LoadBalancer {
                 std::size_t replicas, std::uint64_t ecmp_seed = 0xFEE7ULL,
                 const fault::ControlChannel::Config& channel = {},
                 const SyncConfig& sync = SyncConfig());
+  ~SilkRoadFleet() override;
 
   std::string name() const override { return "silkroad-fleet"; }
 
   /// Provisioning: recorded in the controller's desired state and applied
-  /// synchronously to every live switch (config precedes traffic). Dead
-  /// switches receive it from the restore-time resync.
+  /// synchronously to every live or restoring switch (config precedes
+  /// traffic). Dead switches receive it from the restore-time resync.
   void add_vip(const net::Endpoint& vip,
                const std::vector<net::Endpoint>& dips) override;
 
@@ -190,12 +190,10 @@ class SilkRoadFleet : public lb::LoadBalancer {
   // --- Convergence observatory (DESIGN.md §17) --------------------------------
 
   /// The fleet's convergence observer, or nullptr when
-  /// SyncConfig::observe_convergence is off. Fed on every journal append,
-  /// in-order delivery, and resync-session transition; renders /fleet.
-  obs::FleetObserver* observer() noexcept { return observer_.get(); }
-  const obs::FleetObserver* observer() const noexcept {
-    return observer_.get();
-  }
+  /// SyncConfig::observe_convergence is off. It reads this fleet's state
+  /// when it evaluates; renders /fleet.
+  FleetObserver* observer() noexcept { return observer_.get(); }
+  const FleetObserver* observer() const noexcept { return observer_.get(); }
 
   /// ForensicsReports assembled by the observer's divergence callback —
   /// one per silent-divergence episode, with per-VIP attribution attached.
@@ -204,14 +202,14 @@ class SilkRoadFleet : public lb::LoadBalancer {
   }
 
   /// Test hook: mutates switch `index`'s applied mirror out of band,
-  /// modeling a buggy apply path. The mutation is fed to the observer the
-  /// same way a real (buggy) apply would be — which is exactly what lets
-  /// the digest comparison catch it as silent divergence.
+  /// modeling a buggy apply path, then has the observer evaluate — which
+  /// is what lets the digest comparison catch it as silent divergence.
   void inject_mirror_corruption(std::size_t index, const net::Endpoint& vip,
                                 const net::Endpoint& dip, bool add);
 
  private:
-  using DipSet = std::unordered_set<net::Endpoint, net::EndpointHash>;
+  /// Reads the guarded state below when it evaluates (DESIGN.md §17).
+  friend class FleetObserver;
 
   /// In-order application of one channel message at switch `index`. Guarded
   /// by the per-switch applied-state mirror so resync-vs-in-flight overlap
@@ -235,6 +233,9 @@ class SilkRoadFleet : public lb::LoadBalancer {
   void apply_journaled_update(std::size_t index,
                               const workload::DipUpdate& update,
                               std::uint64_t parent_id);
+  /// Switch `index`'s applied pool for `vip`, created empty when absent.
+  DigestedPool& applied_pool_locked(std::size_t index, const net::Endpoint& vip)
+      SR_REQUIRES(mu_);
   /// Counts one applied mutation toward the checkpoint cadence.
   void note_applied_locked(std::size_t index) SR_REQUIRES(mu_);
   /// Captures switch `index`'s mirror + watermark into the snapshot store.
@@ -263,9 +264,13 @@ class SilkRoadFleet : public lb::LoadBalancer {
   std::unordered_map<net::Endpoint, std::vector<net::Endpoint>,
                      net::EndpointHash>
       membership_ SR_GUARDED_BY(mu_);
+  /// XOR of VipDigest::of over membership_, updated with every change to it.
+  std::uint64_t desired_digest_ SR_GUARDED_BY(mu_) = 0;
   std::vector<net::Endpoint> vip_order_ SR_GUARDED_BY(mu_);
-  /// Per-switch mirror of what this controller has asked it to apply.
-  std::vector<std::unordered_map<net::Endpoint, DipSet, net::EndpointHash>>
+  /// Per-switch mirror of what this controller has asked it to apply, each
+  /// pool with its membership digest.
+  std::vector<std::unordered_map<net::Endpoint, DigestedPool,
+                                 net::EndpointHash>>
       applied_ SR_GUARDED_BY(mu_);
   /// Versioned desired-state mutation journal (DESIGN.md §16).
   MutationJournal journal_ SR_GUARDED_BY(mu_);
@@ -292,9 +297,9 @@ class SilkRoadFleet : public lb::LoadBalancer {
   obs::Histogram* h_resync_duration_ = nullptr;
   MappingRiskCallback risk_cb_;
   MembershipCallback membership_cb_;
-  /// Convergence observatory (simulation-thread fed, own internal mutex;
-  /// always called outside mu_, after the guarded mutation it mirrors).
-  std::unique_ptr<obs::FleetObserver> observer_;
+  /// Convergence observatory (own internal mutex; always called outside
+  /// mu_, after the guarded mutation it evaluates).
+  std::unique_ptr<FleetObserver> observer_;
   /// One report per detected silent-divergence episode (sim-thread-only).
   std::vector<obs::ForensicsReport> divergence_reports_;
 };

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/health_checker.h"
+#include "deploy/convergence.h"
 #include "deploy/fleet.h"
 #include "fault/fault_injector.h"
 #include "lb/scenario.h"
@@ -271,7 +272,7 @@ bool run_seed(std::uint64_t seed, bool restore_heavy) {
   const std::size_t outstanding = fleet.ctrl_outstanding();
   // Quiescence evaluation of the convergence observatory (DESIGN.md §17):
   // recompute lags + SLO and run the digest comparison on every switch.
-  obs::FleetObserver& observer = *fleet.observer();
+  deploy::FleetObserver& observer = *fleet.observer();
   observer.evaluate(sim.now());
   const auto fleet_snap = fleet.metrics_snapshot();
   std::printf(
@@ -282,8 +283,7 @@ bool run_seed(std::uint64_t seed, bool restore_heavy) {
       "degraded_transitions=%.0f "
       "shed=%.0f relearns=%.0f blast[routed=%llu pinned=%llu] "
       "checker[fail=%llu recover=%llu suppressed=%llu] converged=%d "
-      "obs[lag_max=%llu slo_ok=%d burn_ms=%.3f diverged=%llu "
-      "selfchecks=%llu]\n",
+      "obs[lag_max=%llu slo_ok=%d burn_ms=%.3f diverged=%llu]\n",
       static_cast<unsigned long long>(seed),
       static_cast<unsigned long long>(stats.flows),
       static_cast<unsigned long long>(stats.violations),
@@ -327,8 +327,7 @@ bool run_seed(std::uint64_t seed, bool restore_heavy) {
       }()),
       observer.slo_ok() ? 1 : 0,
       static_cast<double>(observer.slo_burn_ns()) / 1e6,
-      static_cast<unsigned long long>(observer.divergences()),
-      static_cast<unsigned long long>(observer.selfchecks()));
+      static_cast<unsigned long long>(observer.divergences()));
 
   bool ok = true;
   if (stats.violations != 0) {
@@ -371,8 +370,9 @@ bool run_seed(std::uint64_t seed, bool restore_heavy) {
     ok = false;
   }
   // Convergence observatory (DESIGN.md §17): a quiesced, converged fleet
-  // must show zero silent divergences, a met SLO, and incrementally-
-  // maintained digests that survive a full recompute.
+  // must show zero silent divergences, a met SLO, and on every live switch
+  // a maintained digest equal to the desired digest and to a from-scratch
+  // recompute over the pools its data plane serves.
   if (observer.divergences() != 0) {
     std::fprintf(stderr, "seed %llu: %llu silent divergences detected\n",
                  static_cast<unsigned long long>(seed),
@@ -384,10 +384,25 @@ bool run_seed(std::uint64_t seed, bool restore_heavy) {
                  static_cast<unsigned long long>(seed));
     ok = false;
   }
-  if (!observer.verify_digests()) {
-    std::fprintf(stderr, "seed %llu: digest self-check failed\n",
-                 static_cast<unsigned long long>(seed));
-    ok = false;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    if (observer.state(i) != deploy::FleetObserver::SwitchState::kLive) {
+      continue;
+    }
+    std::uint64_t recomputed = 0;
+    for (std::size_t v = 0; v < kVips; ++v) {
+      const auto* mgr = fleet.switch_at(i).version_manager(vip_of(v));
+      if (mgr == nullptr) continue;
+      recomputed ^= deploy::VipDigest::of(
+          vip_of(v), mgr->pool(mgr->current_version())->members());
+    }
+    if (observer.switch_digest(i) != observer.desired_digest() ||
+        recomputed != observer.desired_digest()) {
+      std::fprintf(stderr,
+                   "seed %llu: switch %zu digest differs from the desired "
+                   "digest or its data-plane recompute\n",
+                   static_cast<unsigned long long>(seed), i);
+      ok = false;
+    }
   }
 
   // On failure, leave a durable incident record for the CI artifact upload:

@@ -1,17 +1,19 @@
 // Fleet convergence observatory (DESIGN.md §17): VipDigest token algebra,
-// watermark-lag SLO hysteresis, checkability around resync sessions, silent
-// divergence detection with per-VIP attribution, and the property that the
-// incrementally-maintained digests equal a full recompute after randomized
-// interleavings of updates, crashes, and restores through a real fleet.
+// the digest-carrying pool, and — through real fleets — watermark-lag SLO
+// hysteresis, checkability around resync sessions and out-of-band
+// provisioning, silent divergence detection with per-VIP attribution, and
+// the property that every switch digest equals a data-plane recompute after
+// randomized interleavings of updates, crashes, and restores.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <vector>
 
+#include "deploy/convergence.h"
 #include "deploy/fleet.h"
-#include "obs/convergence.h"
 
-namespace silkroad::obs {
+namespace silkroad::deploy {
 namespace {
 
 net::Endpoint vip_ep(std::uint32_t n = 1) {
@@ -43,6 +45,28 @@ workload::DipUpdate update_of(const net::Endpoint& vip,
                       : workload::UpdateAction::kRemoveDip;
   update.cause = workload::UpdateCause::kServiceUpgrade;
   return update;
+}
+
+/// Channel whose deliveries take 10 ms and whose first retransmit waits a
+/// second: appended positions stay unapplied until the simulator runs on.
+fault::ControlChannel::Config stalled_channel() {
+  fault::ControlChannel::Config channel;
+  channel.base_delay = 10 * sim::kMillisecond;
+  channel.retry_timeout = sim::kSecond;
+  return channel;
+}
+
+/// XOR of VipDigest::of over switch `i`'s current data-plane pools,
+/// recomputed from scratch.
+std::uint64_t recomputed_digest(const SilkRoadFleet& fleet, std::size_t i,
+                                const std::vector<net::Endpoint>& vips) {
+  std::uint64_t digest = 0;
+  for (const auto& vip : vips) {
+    const auto* mgr = fleet.switch_at(i).version_manager(vip);
+    if (mgr == nullptr) continue;
+    digest ^= VipDigest::of(vip, mgr->pool(mgr->current_version())->members());
+  }
+  return digest;
 }
 
 // --- VipDigest token algebra -------------------------------------------------
@@ -81,86 +105,130 @@ TEST(VipDigest, MembershipIsAnO1Toggle) {
             VipDigest::of(vip_ep(), both));
 }
 
+TEST(DigestedPool, DigestEqualsRecomputeOverRandomMutations) {
+  std::mt19937_64 rng(0xD16E57ULL);
+  const auto dips = make_dips(12);
+  DigestedPool pool(vip_ep());
+  std::set<net::Endpoint> reference;
+  for (int step = 0; step < 2000; ++step) {
+    const net::Endpoint& dip = dips[rng() % dips.size()];
+    switch (rng() % 5) {
+      case 0:
+      case 1:
+        EXPECT_EQ(pool.insert(dip), reference.insert(dip).second);
+        break;
+      case 2:
+      case 3:
+        EXPECT_EQ(pool.erase(dip), reference.erase(dip) == 1);
+        break;
+      default: {
+        std::vector<net::Endpoint> next;
+        for (const auto& d : dips) {
+          if (rng() % 2 == 0) next.push_back(d);
+        }
+        pool.assign(next);
+        reference.clear();
+        reference.insert(next.begin(), next.end());
+        break;
+      }
+    }
+    ASSERT_EQ(pool.digest(), VipDigest::of(vip_ep(), reference))
+        << "step " << step;
+    ASSERT_EQ(pool.dips().size(), reference.size()) << "step " << step;
+  }
+}
+
 // --- Watermarks, lag, and the hysteretic SLO --------------------------------
 
 TEST(FleetObserver, EffectiveWatermarkExtendsThroughOutOfBandPositions) {
-  FleetObserver observer(1);
-  const auto dips = make_dips(2);
-  observer.on_append_config(1, 10, vip_ep(), dips);
-  observer.on_mirror_config(0, vip_ep(), dips, 1, 10);
-  EXPECT_EQ(observer.watermark(0), 0u);
+  sim::Simulator sim;
+  fault::ControlChannel::Config channel;
+  channel.base_delay = 100 * sim::kMicrosecond;
+  SilkRoadFleet fleet(sim, small_config(), 1, 0xFEE7ULL, channel);
+  FleetObserver& observer = *fleet.observer();
+  fleet.add_vip(vip_ep(), make_dips(2));
+  observer.evaluate(sim.now());
+  // add_vip applied position 1 in place: the watermark stays put while the
+  // effective watermark extends through the out-of-band position.
+  EXPECT_EQ(fleet.applied_through(0), 0u);
   EXPECT_EQ(observer.effective_watermark(0), 1u);
   EXPECT_EQ(observer.lag_positions(0), 0u);
   // A later in-order delivery folds the out-of-band run into the watermark.
-  observer.on_append_update(2, 20, vip_ep(), dip_ep(9), true);
-  observer.on_mirror_update(0, vip_ep(), dip_ep(9), true, 2, 20);
-  observer.on_watermark(0, 2, 20);
-  EXPECT_EQ(observer.watermark(0), 2u);
+  fleet.request_update(update_of(vip_ep(), dip_ep(9), true));
+  sim.run();
+  EXPECT_EQ(fleet.applied_through(0), 2u);
   EXPECT_EQ(observer.effective_watermark(0), 2u);
+  observer.evaluate(sim.now());
   EXPECT_EQ(observer.divergences(), 0u);
 }
 
 TEST(FleetObserver, SloHysteresisEntersExitsAndBurns) {
-  FleetObserver::Options options;
-  options.lag_enter = 4;
-  options.lag_exit = 1;
-  FleetObserver observer(1, options);
-  const auto dips = make_dips(8);
-  sim::Time now = 0;
-  for (std::uint64_t pos = 1; pos <= 8; ++pos) {
-    now += 100;
-    observer.on_append_update(pos, now, vip_ep(), dips[pos - 1], true);
+  sim::Simulator sim;
+  SilkRoadFleet fleet(sim, small_config(), 1, 0xFEE7ULL, stalled_channel());
+  FleetObserver& observer = *fleet.observer();
+  const auto dips = make_dips(2);
+  fleet.add_vip(vip_ep(), dips);
+  // Stall the channel past kLagEnter with remove/add pairs, in two groups
+  // 5 ms apart so the first lands before the second.
+  const sim::Time t0 = sim.now();
+  const std::uint64_t tail = FleetObserver::kLagExit + 4;
+  const std::uint64_t burst = FleetObserver::kLagEnter + 6;
+  for (std::uint64_t i = 0; i < burst; ++i) {
+    if (i == burst - tail) sim.run_until(t0 + 5 * sim::kMillisecond);
+    fleet.request_update(update_of(vip_ep(), dips[0], i % 2 == 1));
   }
-  observer.evaluate(now);
-  EXPECT_EQ(observer.lag_positions(0), 8u);
+  sim.run_until(t0 + 6 * sim::kMillisecond);
+  observer.evaluate(sim.now());
+  EXPECT_EQ(observer.lag_positions(0), burst);
   EXPECT_GT(observer.lag_age(0), 0u);
   EXPECT_FALSE(observer.slo_ok());
   EXPECT_EQ(observer.slo_transitions(), 1u);
   // Burn accrues while violated.
-  observer.evaluate(now + 1000);
-  EXPECT_GE(observer.slo_burn_ns(), 1000u);
-  // Catching up past lag_exit clears the latch and the violation.
-  for (std::uint64_t pos = 1; pos <= 8; ++pos) {
-    observer.on_mirror_update(0, vip_ep(), dips[pos - 1], true, pos,
-                              now + 2000);
-    observer.on_watermark(0, pos, now + 2000);
-  }
-  observer.evaluate(now + 2000);
+  sim.run_until(t0 + 7 * sim::kMillisecond);
+  observer.evaluate(sim.now());
+  EXPECT_GE(observer.slo_burn_ns(), sim::kMillisecond);
+  // Hysteresis: the first group landed, but a lag above kLagExit keeps the
+  // switch lagging.
+  sim.run_until(t0 + 12 * sim::kMillisecond);
+  observer.evaluate(sim.now());
+  EXPECT_EQ(observer.lag_positions(0), tail);
+  EXPECT_FALSE(observer.slo_ok());
+  // Catching up past kLagExit clears the latch and the violation.
+  sim.run();
+  observer.evaluate(sim.now());
   EXPECT_EQ(observer.lag_positions(0), 0u);
   EXPECT_TRUE(observer.slo_ok());
   EXPECT_EQ(observer.slo_transitions(), 2u);
   EXPECT_EQ(observer.divergences(), 0u);
   // Hysteresis: a lag between exit and enter does not re-enter lagging.
-  observer.on_append_update(9, now + 3000, vip_ep(), dip_ep(50), true);
-  observer.on_append_update(10, now + 3000, vip_ep(), dip_ep(51), true);
-  observer.evaluate(now + 3000);
-  EXPECT_EQ(observer.lag_positions(0), 2u);
+  for (std::uint64_t i = 0; i < tail; ++i) {
+    fleet.request_update(update_of(vip_ep(), dips[1], i % 2 == 1));
+  }
+  observer.evaluate(sim.now());
+  EXPECT_EQ(observer.lag_positions(0), tail);
   EXPECT_TRUE(observer.slo_ok());
 }
 
 // --- Divergence detection ----------------------------------------------------
 
 TEST(FleetObserver, SilentDivergenceAttributesPerVipDeltas) {
-  FleetObserver observer(2);
-  std::vector<DivergenceFinding> fired;
-  observer.set_divergence_callback(
-      [&fired](const DivergenceFinding& finding) { fired.push_back(finding); });
+  sim::Simulator sim;
+  SilkRoadFleet fleet(sim, small_config(), 2);
+  FleetObserver& observer = *fleet.observer();
   const auto dips = make_dips(3);
-  observer.on_append_config(1, 10, vip_ep(), dips);
-  observer.on_mirror_config(0, vip_ep(), dips, 1, 10);
-  observer.on_mirror_config(1, vip_ep(), dips, 1, 10);
-  observer.evaluate(20);
+  fleet.add_vip(vip_ep(), dips);
+  observer.evaluate(sim.now());
   EXPECT_EQ(observer.divergences(), 0u);
 
-  // Switch 1's apply path silently loses a member: the check fires on that
-  // very feed, attributing the missing DIP.
-  observer.on_mirror_update(1, vip_ep(), dips[2], false, 0, 30);
+  // Switch 1's apply path silently loses a member: the check it triggers
+  // fires at once, attributing the missing DIP.
+  fleet.inject_mirror_corruption(1, vip_ep(), dips[2], /*add=*/false);
   EXPECT_EQ(observer.divergences(), 1u);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].switch_index, 1u);
-  EXPECT_EQ(fired[0].position, 1u);
+  ASSERT_EQ(fleet.divergence_reports().size(), 1u);  // The callback fired.
   auto findings = observer.findings();
   ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].switch_index, 1u);
+  EXPECT_EQ(findings[0].position, 1u);
   ASSERT_EQ(findings[0].deltas.size(), 1u);
   EXPECT_EQ(findings[0].deltas[0].vip, vip_ep());
   ASSERT_EQ(findings[0].deltas[0].missing.size(), 1u);
@@ -169,9 +237,10 @@ TEST(FleetObserver, SilentDivergenceAttributesPerVipDeltas) {
 
   // Heal, then gain a stray member instead: a fresh episode attributes the
   // extra DIP.
-  observer.on_mirror_update(1, vip_ep(), dips[2], true, 0, 40);
-  observer.on_mirror_update(1, vip_ep(), dip_ep(99), true, 0, 41);
+  fleet.inject_mirror_corruption(1, vip_ep(), dips[2], /*add=*/true);
+  fleet.inject_mirror_corruption(1, vip_ep(), dip_ep(99), /*add=*/true);
   EXPECT_EQ(observer.divergences(), 2u);
+  EXPECT_EQ(fleet.divergence_reports().size(), 2u);
   findings = observer.findings();
   ASSERT_EQ(findings.size(), 2u);
   ASSERT_EQ(findings[1].deltas.size(), 1u);
@@ -180,70 +249,84 @@ TEST(FleetObserver, SilentDivergenceAttributesPerVipDeltas) {
   EXPECT_EQ(findings[1].deltas[0].extra[0], dip_ep(99));
   // The healthy replica is untouched.
   EXPECT_EQ(observer.switch_digest(0), observer.desired_digest());
-  EXPECT_TRUE(observer.verify_digests());
+  EXPECT_EQ(recomputed_digest(fleet, 0, {vip_ep()}), observer.desired_digest());
 }
 
 TEST(FleetObserver, EpisodeLatchDedupsUntilDigestsAgreeAgain) {
-  FleetObserver observer(1);
+  sim::Simulator sim;
+  SilkRoadFleet fleet(sim, small_config(), 1);
+  FleetObserver& observer = *fleet.observer();
   const auto dips = make_dips(2);
-  observer.on_append_config(1, 10, vip_ep(), dips);
-  observer.on_mirror_config(0, vip_ep(), dips, 1, 10);
-  observer.on_mirror_update(0, vip_ep(), dips[0], false, 0, 20);
+  fleet.add_vip(vip_ep(), dips);
+  fleet.inject_mirror_corruption(0, vip_ep(), dips[0], /*add=*/false);
   EXPECT_EQ(observer.divergences(), 1u);
   // Still diverged: repeated evaluation reports the same episode once.
-  observer.evaluate(30);
-  observer.evaluate(40);
+  observer.evaluate(sim.now());
+  observer.evaluate(sim.now());
   EXPECT_EQ(observer.divergences(), 1u);
   // Heal, then diverge again: a fresh episode is counted.
-  observer.on_mirror_update(0, vip_ep(), dips[0], true, 0, 50);
+  fleet.inject_mirror_corruption(0, vip_ep(), dips[0], /*add=*/true);
   EXPECT_EQ(observer.divergences(), 1u);
-  observer.on_mirror_update(0, vip_ep(), dips[1], false, 0, 60);
+  fleet.inject_mirror_corruption(0, vip_ep(), dips[1], /*add=*/false);
   EXPECT_EQ(observer.divergences(), 2u);
 }
 
 TEST(FleetObserver, ChecksAreSuspendedDuringResyncSessions) {
-  FleetObserver observer(1);
+  sim::Simulator sim;
+  SilkRoadFleet fleet(sim, small_config(), 1);
+  FleetObserver& observer = *fleet.observer();
   const auto dips = make_dips(2);
-  observer.on_append_config(1, 10, vip_ep(), dips);
-  observer.on_mirror_config(0, vip_ep(), dips, 1, 10);
-  // A session opens (window-wipe edge): the switch stops being checkable,
-  // so mid-resync mirror churn is not misread as divergence.
-  observer.on_session_open(0, 77, 20);
+  fleet.add_vip(vip_ep(), dips);
+  // Every transmission to the switch is lost: the update's retries escalate
+  // to a resync session whose chunks are lost too, so a session stays open.
+  fleet.set_channel_loss_hook(0, [](sim::Time) { return true; });
+  fleet.request_update(update_of(vip_ep(), dip_ep(9), true));
+  sim.run_until(sim.now() + 100 * sim::kMillisecond);
   EXPECT_EQ(observer.state(0), FleetObserver::SwitchState::kResyncing);
-  observer.on_mirror_update(0, vip_ep(), dips[0], false, 0, 21);
-  observer.evaluate(22);
+  // Mid-resync mirror churn is not misread as divergence.
+  fleet.inject_mirror_corruption(0, vip_ep(), dips[0], /*add=*/false);
+  observer.evaluate(sim.now());
   EXPECT_EQ(observer.divergences(), 0u);
-  // The replay heals the mirror before the session closes; the close makes
-  // the switch checkable again and finds it consistent.
-  observer.on_resync_begin(0, 77, FleetObserver::ResyncKind::kDelta, 23);
-  observer.on_mirror_update(0, vip_ep(), dips[0], true, 0, 24);
-  observer.on_resync_end(0, 77, 25);
+  // The mirror heals before the session closes; the close makes the switch
+  // checkable again and finds it consistent.
+  fleet.inject_mirror_corruption(0, vip_ep(), dips[0], /*add=*/true);
+  fleet.set_channel_loss_hook(0, nullptr);
+  sim.run();
   EXPECT_EQ(observer.state(0), FleetObserver::SwitchState::kLive);
-  observer.evaluate(26);
+  observer.evaluate(sim.now());
   EXPECT_EQ(observer.divergences(), 0u);
-  const auto findings = observer.findings();
-  EXPECT_TRUE(findings.empty());
+  EXPECT_TRUE(observer.findings().empty());
+  EXPECT_TRUE(fleet.converged());
 }
 
 TEST(FleetObserver, CompactedHistoryIsUnverifiableNotDivergent) {
-  FleetObserver::Options options;
-  options.digest_history = 2;
-  FleetObserver observer(1, options);
-  for (std::uint64_t pos = 1; pos <= 10; ++pos) {
-    observer.on_append_update(pos, pos * 10, vip_ep(), dip_ep(pos), true);
+  sim::Simulator sim;
+  SyncConfig sync;
+  sync.journal_capacity = 2;
+  SilkRoadFleet fleet(sim, small_config(), 1, 0xFEE7ULL, stalled_channel(),
+                      sync);
+  FleetObserver& observer = *fleet.observer();
+  fleet.add_vip(vip_ep(), make_dips(2));
+  for (std::uint32_t n = 10; n < 19; ++n) {
+    fleet.request_update(update_of(vip_ep(), dip_ep(n), true));
   }
-  // Watermark 5 fell off the 2-entry history ring: the check is counted as
-  // unverifiable instead of comparing against the wrong reference.
-  observer.on_watermark(0, 5, 200);
+  // Effective watermark 1 fell off the 2-position history: the check is
+  // counted as unverifiable instead of comparing against the wrong
+  // reference.
+  observer.evaluate(sim.now());
   EXPECT_GE(observer.unverifiable_checks(), 1u);
   EXPECT_EQ(observer.divergences(), 0u);
+  sim.run();
+  observer.evaluate(sim.now());
+  EXPECT_EQ(observer.divergences(), 0u);
+  EXPECT_TRUE(fleet.converged());
 }
 
 // --- Through a real fleet ----------------------------------------------------
 
 TEST(FleetConvergence, SeededMirrorCorruptionIsCaughtWithAttribution) {
   sim::Simulator sim;
-  deploy::SilkRoadFleet fleet(sim, small_config(), 3);
+  SilkRoadFleet fleet(sim, small_config(), 3);
   const auto dips = make_dips(4);
   fleet.add_vip(vip_ep(), dips);
   sim.run();
@@ -275,13 +358,20 @@ TEST(FleetConvergence, SeededMirrorCorruptionIsCaughtWithAttribution) {
   fleet.inject_mirror_corruption(1, vip_ep(), dips[2], /*add=*/true);
   fleet.observer()->evaluate(sim.now());
   EXPECT_EQ(fleet.observer()->divergences(), 1u);
-  EXPECT_TRUE(fleet.observer()->verify_digests());
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(fleet.observer()->switch_digest(i),
+              fleet.observer()->desired_digest());
+    EXPECT_EQ(recomputed_digest(fleet, i, {vip_ep()}),
+              fleet.observer()->desired_digest());
+  }
 }
 
 TEST(FleetConvergence, IncrementalDigestsEqualRecomputeAcrossInterleavings) {
   // Property: after any interleaving of updates, crashes, restores, and
-  // partial deliveries, every incrementally-maintained digest equals a full
-  // recompute, and a fault-free fleet reports zero silent divergences.
+  // partial deliveries, a fault-free fleet reports zero silent divergences
+  // at every evaluation, and at quiescence every switch's maintained digest
+  // equals the desired digest and a from-scratch data-plane recompute.
+  const std::vector<net::Endpoint> vips = {vip_ep(1), vip_ep(2)};
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     std::mt19937_64 rng(0x51172D00ULL + seed);
     sim::Simulator sim;
@@ -289,20 +379,21 @@ TEST(FleetConvergence, IncrementalDigestsEqualRecomputeAcrossInterleavings) {
     channel.base_delay = 100 * sim::kMicrosecond;
     channel.jitter = 400 * sim::kMicrosecond;
     channel.drop_probability = 0.1;
-    deploy::SyncConfig sync;
+    SyncConfig sync;
     sync.journal_capacity = 64;  // Force occasional full-state escalation.
     sync.chunk_entries = 4;
-    deploy::SilkRoadFleet fleet(sim, small_config(), 3, 0xFEE7ULL + seed,
-                                channel, sync);
+    SilkRoadFleet fleet(sim, small_config(), 3, 0xFEE7ULL + seed, channel,
+                        sync);
+    FleetObserver& observer = *fleet.observer();
     const auto dips = make_dips(6);
-    fleet.add_vip(vip_ep(1), dips);
-    fleet.add_vip(vip_ep(2), {dips[0], dips[1]});
+    fleet.add_vip(vips[0], dips);
+    fleet.add_vip(vips[1], {dips[0], dips[1]});
     sim.run();
     std::vector<bool> up(3, true);
     for (int step = 0; step < 120; ++step) {
       const std::uint32_t roll = static_cast<std::uint32_t>(rng() % 100);
       if (roll < 70) {
-        const net::Endpoint vip = vip_ep(1 + rng() % 2);
+        const net::Endpoint vip = vips[rng() % 2];
         fleet.request_update(
             update_of(vip, dips[rng() % dips.size()], rng() % 2 == 0));
       } else if (roll < 78) {
@@ -321,7 +412,8 @@ TEST(FleetConvergence, IncrementalDigestsEqualRecomputeAcrossInterleavings) {
         sim.run();  // Drain in-flight channel work before more churn.
       }
       if (step % 16 == 0) {
-        EXPECT_TRUE(fleet.observer()->verify_digests()) << "seed " << seed;
+        observer.evaluate(sim.now());
+        EXPECT_EQ(observer.divergences(), 0u) << "seed " << seed;
       }
     }
     for (std::size_t i = 0; i < 3; ++i) {
@@ -329,14 +421,13 @@ TEST(FleetConvergence, IncrementalDigestsEqualRecomputeAcrossInterleavings) {
     }
     sim.run();
     ASSERT_TRUE(fleet.converged()) << "seed " << seed;
-    fleet.observer()->evaluate(sim.now());
-    EXPECT_TRUE(fleet.observer()->verify_digests()) << "seed " << seed;
-    EXPECT_EQ(fleet.observer()->divergences(), 0u) << "seed " << seed;
-    EXPECT_EQ(fleet.observer()->selfcheck_failures(), 0u) << "seed " << seed;
-    EXPECT_TRUE(fleet.observer()->slo_ok()) << "seed " << seed;
+    observer.evaluate(sim.now());
+    EXPECT_EQ(observer.divergences(), 0u) << "seed " << seed;
+    EXPECT_TRUE(observer.slo_ok()) << "seed " << seed;
     for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(fleet.observer()->switch_digest(i),
-                fleet.observer()->desired_digest())
+      EXPECT_EQ(observer.switch_digest(i), observer.desired_digest())
+          << "seed " << seed << " switch " << i;
+      EXPECT_EQ(recomputed_digest(fleet, i, vips), observer.desired_digest())
           << "seed " << seed << " switch " << i;
     }
   }
@@ -344,7 +435,7 @@ TEST(FleetConvergence, IncrementalDigestsEqualRecomputeAcrossInterleavings) {
 
 TEST(FleetConvergence, RenderingsCarryTheHeadline) {
   sim::Simulator sim;
-  deploy::SilkRoadFleet fleet(sim, small_config(), 2);
+  SilkRoadFleet fleet(sim, small_config(), 2);
   fleet.add_vip(vip_ep(), make_dips(2));
   sim.run();
   fleet.observer()->evaluate(sim.now());
@@ -358,4 +449,4 @@ TEST(FleetConvergence, RenderingsCarryTheHeadline) {
 }
 
 }  // namespace
-}  // namespace silkroad::obs
+}  // namespace silkroad::deploy

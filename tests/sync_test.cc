@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "deploy/convergence.h"
 #include "deploy/fleet.h"
 #include "deploy/journal.h"
 #include "deploy/snapshot.h"
@@ -314,6 +315,31 @@ TEST(SilkRoadFleet, RestartDuringResyncResumesFromChunkWatermark) {
   EXPECT_TRUE(fleet.converged());
   fleet.self_check();
   EXPECT_TRUE(fleet.spans().audit_complete().empty());
+}
+
+TEST(SilkRoadFleet, AddVipWhileRestoringReachesTheRestoringSwitch) {
+  sim::Simulator sim;
+  fault::ControlChannel::Config channel;
+  channel.base_delay = 100 * sim::kMicrosecond;
+  SilkRoadFleet fleet(sim, small_config(), 3, 0xFEE7ULL, channel);
+  const net::Endpoint v2{net::IpAddress::v4(0x14000002), 80};
+  const auto dips = make_dips(3);
+  fleet.add_vip(vip_ep(), {dips[0], dips[1]});
+  sim.run();
+  fleet.fail_switch(1);
+  fleet.restore_switch(1);
+  // Switch 1's resync was computed before this config was journaled; the
+  // config must still reach it, or the delivery below moves its watermark
+  // past the config's position without it.
+  fleet.add_vip(v2, {dips[0]});
+  sim.run();
+  fleet.request_update(add_of(dips[2]));
+  sim.run();
+  EXPECT_NE(fleet.switch_at(1).version_manager(v2), nullptr);
+  EXPECT_TRUE(fleet.converged());
+  ASSERT_NE(fleet.observer(), nullptr);
+  fleet.observer()->evaluate(sim.now());
+  EXPECT_EQ(fleet.observer()->divergences(), 0u);
 }
 
 // --- Telemetry -------------------------------------------------------------

@@ -59,20 +59,6 @@ R13 no direct resync-machinery invocation in src/ outside the channel —
                                       (DESIGN.md §16). The channel's ResyncFn
                                       binding site carries
                                       `srlint: allow(R13)`.
-R14 no ad-hoc membership-digest hashing in src/deploy/ or src/obs/ —
-                                      folding mix64()/hash_bytes()/... results
-                                      into ^/^= XOR chains re-derives the
-                                      per-VIP membership digests that
-                                      obs::VipDigest and obs::FleetObserver
-                                      (DESIGN.md §17) single-source; a second
-                                      folding scheme drifts from the salts and
-                                      token derivation the divergence detector
-                                      compares against, turning every mismatch
-                                      into a false alarm (or masking a real
-                                      one). Non-digest hash uses (seed
-                                      derivation, ECMP ranking) either avoid
-                                      the XOR-fold shape or carry
-                                      `srlint: allow(R14)`.
 """
 
 from __future__ import annotations
@@ -666,76 +652,6 @@ def check_r13(model: FileModel) -> list[Violation]:
     return out
 
 
-# --- R14 --------------------------------------------------------------------
-
-# Hash primitives whose results, XOR-folded together, form a membership
-# digest. Any of these in a `^`/`^=` chain inside the digest-consuming
-# directories re-derives obs::VipDigest's scheme by hand.
-_R14_HASH_CALLS = {
-    "mix64",
-    "hash_bytes",
-    "hash_five_tuple",
-    "crc32c",
-    "connection_digest",
-}
-# The sanctioned digest implementation: VipDigest's token derivation and the
-# FleetObserver folds that consume it.
-_R14_ALLOWED = {
-    "src/obs/convergence.h",
-    "src/obs/convergence.cc",
-}
-
-
-def _r14_xor_compound(toks: list, j: int) -> bool:
-    """True when toks[j] is the `=` of a `^=` (lexed as two tokens, like the
-    R12 `+=`/`-=` case). `==`/`!=` etc. keep a non-`^` first char."""
-    return (
-        j > 0
-        and toks[j].value == "="
-        and toks[j - 1].value == "^"
-        and toks[j - 1].line == toks[j].line
-    )
-
-
-def check_r14(model: FileModel) -> list[Violation]:
-    if _src_sub(model) not in ("deploy", "obs") or model.rel in _R14_ALLOWED:
-        return []
-    out = []
-    toks = model.tokens
-    for i, t in enumerate(toks):
-        if t.kind != "ident" or t.value not in _R14_HASH_CALLS:
-            continue
-        if i + 1 >= len(toks) or toks[i + 1].value != "(":
-            continue  # a field, declaration type position, or bare mention
-        j = _r12_chain_start(toks, i)
-        before = toks[j].value if j >= 0 else ""
-        close = _r12_close_paren(toks, i + 1)
-        after = (
-            toks[close + 1].value
-            if close is not None and close + 1 < len(toks)
-            else ""
-        )
-        folded = (
-            before == "^"
-            or _r14_xor_compound(toks, j)
-            or after == "^"
-        )
-        if folded:
-            out.append(
-                Violation(
-                    model.rel,
-                    t.line,
-                    "R14",
-                    f"'{t.value}()' XOR-folded into an ad-hoc membership "
-                    "digest — per-VIP membership digests come only from "
-                    "obs::VipDigest / obs::FleetObserver (DESIGN.md §17); "
-                    "non-digest hash uses may suppress with "
-                    "'srlint: allow(R14) <reason>'",
-                )
-            )
-    return out
-
-
 RULES: list[Rule] = [
     Rule("R1", "no raw assert() in src/ (use SR_CHECK/SR_DCHECK)", check_r1),
     Rule("R2", "no rand()/std::rand() anywhere (use sim::Rng)", check_r2),
@@ -749,7 +665,6 @@ RULES: list[Rule] = [
     Rule("R10", "no unordered iteration feeding channel/protocol calls", check_r10),
     Rule("R12", "no ad-hoc SRAM byte aggregation outside capacity sources", check_r12),
     Rule("R13", "no direct resync-machinery invocation outside the channel", check_r13),
-    Rule("R14", "no ad-hoc membership-digest hashing in src/deploy|obs", check_r14),
 ]
 
 RULE_IDS = {r.rule_id for r in RULES}
