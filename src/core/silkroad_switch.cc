@@ -41,13 +41,13 @@ SilkRoadSwitch::SilkRoadSwitch(sim::Simulator& simulator, const Config& config)
                        }),
       cpu_(simulator, config.cpu),
       transit_(config.transit_table_bytes, config.transit_hashes),
-      capacity_(config.capacity) {
+      capacity_(*this) {
   digest_groups_.resize(std::min(
       std::bit_floor(std::max<std::size_t>(
           1, conn_table_.capacity() / kSlotsPerDigestGroup)),
       std::size_t{1} << std::min(config.conn_table.digest_bits, 32u)));
   init_metrics();
-  init_capacity();
+  if (config_.capacity_telemetry) capacity_.bind(metrics_, trace_);
   conn_table_.bind_observer(&trace_);
   cpu_.bind_metrics(metrics_, "silkroad_cpu");
 }
@@ -287,123 +287,6 @@ const SilkRoadSwitch::VipState* SilkRoadSwitch::find_vip(
   return it == vips_.end() ? nullptr : &it->second;
 }
 
-void SilkRoadSwitch::init_capacity() {
-  if (!config_.capacity_telemetry) return;
-  capacity_.bind_trace(&trace_);
-
-  // ConnTable: the slot-sized cuckoo store, with per-stage usage so the
-  // ledger can expose the stage-skew fragmentation gauge.
-  obs::ResourceLedger::TableProbe conn;
-  conn.entries = [this] {
-    return static_cast<std::uint64_t>(conn_table_.size());
-  };
-  conn.capacity_entries = [this] {
-    return static_cast<std::uint64_t>(conn_table_.capacity());
-  };
-  conn.bytes = [this] {
-    return static_cast<std::uint64_t>(conn_table_.sram_bytes());
-  };
-  conn.stages = [this] {
-    std::vector<obs::ResourceLedger::StageUsage> out;
-    for (const auto& stage : conn_table_.stage_occupancy(1)) {
-      out.push_back({stage.stage, stage.used, stage.capacity});
-    }
-    return out;
-  };
-  capacity_.register_table("conn_table", std::move(conn));
-  capacity_.add_pressure("conn_table", "cuckoo_moves",
-                         [this] { return conn_table_.total_moves(); });
-  capacity_.add_pressure("conn_table", "failed_inserts",
-                         [this] { return conn_table_.failed_inserts(); });
-  capacity_.add_pressure("conn_table", "relocation_failures", [this] {
-    return c_.relocation_failures->value();
-  });
-  capacity_.add_pressure("conn_table", "software_fallbacks", [this] {
-    return c_.software_fallback_conns->value();
-  });
-  capacity_.add_pressure("conn_table", "insert_shed",
-                         [this] { return c_.pending_shed->value(); });
-
-  // TransitTable: byte-sized bloom; occupancy is the fill ratio, pressure is
-  // the false-positive churn the fill produces.
-  obs::ResourceLedger::TableProbe transit;
-  transit.entries = [this] {
-    return static_cast<std::uint64_t>(transit_.inserted());
-  };
-  transit.bytes = [this] {
-    return static_cast<std::uint64_t>(transit_.byte_count());
-  };
-  transit.capacity_bytes = [this] {
-    return static_cast<std::uint64_t>(transit_.byte_count());
-  };
-  transit.occupancy = [this] { return transit_.fill_ratio(); };
-  capacity_.register_table("transit_table", std::move(transit));
-  capacity_.add_pressure("transit_table", "false_positives", [this] {
-    return c_.transit_false_positives->value();
-  });
-
-  // LearnTable cell store: pending notifications against the filter's flow
-  // capacity. A cell carries the IPv6 five-tuple plus the pool version
-  // (296 + 6 bits, §5.2's LearnTable record).
-  constexpr std::uint64_t kLearnCellBytes = asic::bits_to_bytes(296 + 6);
-  obs::ResourceLedger::TableProbe learn;
-  learn.entries = [this] {
-    return static_cast<std::uint64_t>(learning_filter_.pending_count());
-  };
-  learn.capacity_entries = [this] {
-    return static_cast<std::uint64_t>(learning_filter_.config().capacity);
-  };
-  learn.bytes = [this] {
-    return kLearnCellBytes *
-           static_cast<std::uint64_t>(learning_filter_.pending_count());
-  };
-  capacity_.register_table("learning_filter", std::move(learn));
-  capacity_.add_pressure("learning_filter", "dropped_events", [this] {
-    return learning_filter_.dropped_events();
-  });
-  capacity_.add_pressure("learning_filter", "duplicate_events", [this] {
-    return learning_filter_.duplicate_events();
-  });
-
-  // DIPPoolTable: live (VIP, version) pools against the version-number
-  // space — its occupancy is version exhaustion, the §4.2 failure mode.
-  obs::ResourceLedger::TableProbe pools;
-  pools.entries = [this] {
-    std::uint64_t versions = 0;
-    for (const auto& [vip, state] : vips_) {
-      versions += state.versions->active_versions();
-    }
-    return versions;
-  };
-  pools.capacity_entries = [this] {
-    return static_cast<std::uint64_t>(vips_.size())
-           << config_.version_bits;
-  };
-  pools.bytes = [this] {
-    return static_cast<std::uint64_t>(memory_usage().dip_pool_table_bytes);
-  };
-  capacity_.register_table("dip_pool_table", std::move(pools));
-  capacity_.add_pressure("dip_pool_table", "versions_evicted", [this] {
-    return c_.versions_evicted->value();
-  });
-
-  // Publish last so every table's gauges register in one deterministic
-  // order; VIP attribution series join as add_vip() registers them.
-  capacity_.bind_metrics(metrics_);
-}
-
-void SilkRoadSwitch::poll_capacity() {
-  if (!config_.capacity_telemetry) return;
-  const sim::Time now = sim_.now();
-  if (capacity_polled_ &&
-      now - capacity_last_poll_ < config_.capacity_poll_interval) {
-    return;
-  }
-  capacity_polled_ = true;
-  capacity_last_poll_ = now;
-  capacity_.poll(now);
-}
-
 void SilkRoadSwitch::add_vip(const net::Endpoint& vip,
                              const std::vector<net::Endpoint>& dips) {
   VipVersionManager::Config vm_config;
@@ -421,30 +304,7 @@ void SilkRoadSwitch::add_vip(const net::Endpoint& vip,
   }
   vips_.insert_or_assign(vip, std::move(state));
 
-  if (config_.capacity_telemetry) {
-    // Per-VIP SRAM attribution: version-tracked connections (the sum of the
-    // live versions' refcounts) own their ConnTable entry's share of a word,
-    // plus the VIP's live pool rows. The probes survive
-    // reset()/re-provisioning by re-resolving the VIP.
-    const unsigned entry_bits = conn_table_.entry_bits();
-    auto vip_entries = [this, vip] {
-      const VipState* vip_state = find_vip(vip);
-      if (vip_state == nullptr) return std::uint64_t{0};
-      return static_cast<std::uint64_t>(
-          vip_state->versions->total_refcount());
-    };
-    capacity_.register_vip(
-        vip.to_string(), vip_entries,
-        [this, vip, vip_entries, entry_bits] {
-          const VipState* vip_state = find_vip(vip);
-          if (vip_state == nullptr) return std::uint64_t{0};
-          const std::uint64_t conn_bytes = static_cast<std::uint64_t>(
-              asic::bits_to_bytes(vip_entries() * entry_bits));
-          // srlint: allow(R12) per-VIP attribution feeding the ledger — the
-          // one place live bytes are apportioned; reconciled in capacity_test.
-          return conn_bytes + vip_state->versions->pool_table_bytes();
-        });
-  }
+  capacity_.add_vip(vip);
 }
 
 SilkRoadSwitch::DipConnHandles& SilkRoadSwitch::dip_handles(
@@ -621,8 +481,8 @@ void SilkRoadSwitch::repair_placements(
 lb::PacketResult SilkRoadSwitch::process_packet(const net::Packet& packet) {
   const lb::PacketResult result = process_packet_impl(packet);
   // Capacity-ledger poll: one time comparison per packet, full sampling at
-  // most once per capacity_poll_interval of sim time.
-  poll_capacity();
+  // most once per CapacityLedger::kPollInterval of sim time.
+  capacity_.poll(sim_.now());
   // Unknown-VIP packets return a zero result; everything else was charged at
   // least the pipeline latency, so this records exactly the counted packets.
   if (result.added_latency > 0) {
@@ -888,7 +748,7 @@ void SilkRoadSwitch::complete_insertion(const asic::LearnEvent& event) {
   note_pending_resolved(vip, event.flow);
   // Insertions move occupancy without a packet in flight (sim.run() drains);
   // keep the ledger's fill-trend history sampled through such bursts.
-  poll_capacity();
+  capacity_.poll(sim_.now());
 }
 
 void SilkRoadSwitch::enqueue_erase(const net::FlowKey& key,
@@ -1256,7 +1116,7 @@ void SilkRoadSwitch::maybe_update_degraded() {
   // Keep the capacity alarms at least as fresh as the degradation gate: both
   // read the same occupancy, so a degradation transition always lands next
   // to an up-to-date ledger level in the trace ring.
-  poll_capacity();
+  capacity_.poll(sim_.now());
   const std::size_t backlog = cpu_.queue_depth();
   const double occupancy = conn_table_.occupancy();
   if (!degraded_) {
@@ -1505,7 +1365,7 @@ SilkRoadSwitch::MemoryUsage SilkRoadSwitch::memory_usage() const {
   usage.conn_table_bytes = conn_table_.sram_bytes();
   for (const auto& [vip, state] : vips_) {
     // srlint: allow(R12) the switch's own MemoryUsage snapshot — consumed by
-    // the auditor and the ledger's dip_pool probe; reconciled in capacity_test.
+    // the auditor and the capacity ledger; reconciled in capacity_test.
     usage.dip_pool_table_bytes += state.versions->pool_table_bytes();
   }
   usage.transit_table_bytes = transit_.byte_count();

@@ -32,10 +32,10 @@
 #include "asic/learning_filter.h"
 #include "asic/meter.h"
 #include "asic/switch_cpu.h"
+#include "core/capacity.h"
 #include "core/version_manager.h"
 #include "lb/load_balancer.h"
 #include "net/flow_key.h"
-#include "obs/capacity.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
@@ -117,16 +117,11 @@ class SilkRoadSwitch : public lb::LoadBalancer {
 
     // --- SRAM capacity ledger (DESIGN.md §15) -------------------------------
 
-    /// Gates the ResourceLedger: live per-table occupancy, headroom,
+    /// Gates the CapacityLedger: live per-table occupancy, headroom,
     /// pressure, per-VIP SRAM attribution, and exhaustion-forecast telemetry
-    /// (/capacity, /capacity.json). Disabling removes table registration and
-    /// polling entirely (bench/capacity_overhead prices the difference).
+    /// (/capacity, /capacity.json). Disabling leaves the ledger unbound: no
+    /// series, no polling (bench/capacity_overhead prices the difference).
     bool capacity_telemetry = true;
-    /// Minimum sim time between ledger polls from packet/insert call sites;
-    /// bounds the alarm + forecast sampling cost on the hot path.
-    sim::Time capacity_poll_interval = 10 * sim::kMillisecond;
-    /// Ledger knobs (alarm thresholds, forecast window).
-    obs::ResourceLedger::Options capacity;
   };
 
   /// Sizes a ConnTable geometry for `connections` at `occupancy` packing
@@ -228,8 +223,7 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// insertion-pressure counters, per-VIP attribution, alarm levels, and the
   /// time-to-exhaustion forecast. Empty (no tables) when
   /// Config::capacity_telemetry is off.
-  obs::ResourceLedger& capacity() noexcept { return capacity_; }
-  const obs::ResourceLedger& capacity() const noexcept { return capacity_; }
+  const CapacityLedger& capacity() const noexcept { return capacity_; }
 
   /// Attaches the fleet's causal-trace collector: traced DipUpdates record
   /// their CPU-queue wait and 3-step protocol execution (step1 open, flip,
@@ -278,6 +272,8 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// detects each violation class.
   friend class silkroad::check::InvariantAuditor;
   friend struct silkroad::check::TestingHooks;
+  /// The capacity ledger reads the tables it reports on.
+  friend class CapacityLedger;
 
   enum class Phase : std::uint8_t { kIdle, kStep1, kStep2 };
 
@@ -335,14 +331,6 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// (callback) gauges derived from live structures. Called once from the
   /// constructor, after all instrumented members exist.
   void init_metrics();
-
-  /// Registers every SRAM-bearing structure with the capacity ledger
-  /// (Config::capacity_telemetry). Called once from the constructor, after
-  /// init_metrics().
-  void init_capacity();
-  /// Rate-limited ledger poll (alarm state machine + forecast history);
-  /// at most one poll per Config::capacity_poll_interval of sim time.
-  void poll_capacity();
 
   /// Picks the version a ConnTable-missing packet of `vip` should use,
   /// applying the Step1/Step2 TransitTable logic when `vip` is under update.
@@ -472,11 +460,8 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   asic::LearningFilter learning_filter_;
   asic::SwitchCpu cpu_;
   asic::BloomFilter transit_;
-  /// SRAM capacity ledger (DESIGN.md §15); tables registered in
-  /// init_capacity(), polled via poll_capacity().
-  obs::ResourceLedger capacity_;
-  sim::Time capacity_last_poll_ = 0;
-  bool capacity_polled_ = false;
+  /// SRAM capacity ledger (DESIGN.md §15), bound in the constructor.
+  CapacityLedger capacity_;
 
   std::unordered_map<net::Endpoint, VipState, net::EndpointHash> vips_;
   /// Flows learned but not yet inserted. Keyed by FlowKey so the packet's

@@ -224,7 +224,7 @@ std::string ForensicsReport::to_json() const {
     out += divergence_json;
   }
   if (!capacity_json.empty()) {
-    // capacity_json is the ResourceLedger's own JSON document; embed it as a
+    // capacity_json is the CapacityLedger's own JSON document; embed it as a
     // sub-object (trimming its trailing newline) rather than re-encoding.
     std::string trimmed = capacity_json;
     while (!trimmed.empty() &&

@@ -42,8 +42,8 @@ struct ForensicsReport {
   std::vector<Entry> timeline;
 
   /// SRAM capacity-ledger snapshot at assembly time (DESIGN.md §15): the
-  /// human table (ResourceLedger::to_text) and the /capacity.json document
-  /// (ResourceLedger::to_json). Both empty when the failing component
+  /// human table (core::CapacityLedger::to_text) and the /capacity.json
+  /// document (CapacityLedger::to_json). Both empty when the failing component
   /// carries no ledger; callers fill them via attach_capacity().
   std::string capacity_text;
   std::string capacity_json;

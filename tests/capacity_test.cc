@@ -14,9 +14,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/capacity.h"
 #include "core/memory_model.h"
 #include "core/silkroad_switch.h"
-#include "obs/capacity.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
 
@@ -140,6 +140,49 @@ TEST(CapacityLedger, PerVipAttributionSumsToConnTable) {
             0);
 }
 
+TEST(CapacityLedger, VipRowsSurviveResetAndReprovision) {
+  sim::Simulator sim;
+  core::SilkRoadSwitch::Config config;
+  config.conn_table = core::SilkRoadSwitch::conn_table_for(100'000);
+  core::SilkRoadSwitch sw(sim, config);
+
+  const net::Endpoint vip_a = *net::Endpoint::parse("20.0.0.1:80");
+  const net::Endpoint vip_b = *net::Endpoint::parse("20.0.0.2:443");
+  const std::string label_a = R"(vip="20.0.0.1:80")";
+  const std::string label_b = R"(vip="20.0.0.2:443")";
+  sw.add_vip(vip_a, four_dips());
+  sw.add_vip(vip_b, four_dips());
+  for (std::uint32_t client = 0; client < 100; ++client) {
+    sw.process_packet(syn_packet(vip_a, client));
+    sw.process_packet(syn_packet(vip_b, 1000 + client));
+  }
+  sim.run();
+  ASSERT_GT(sw.conn_table().size(), 0u);
+
+  // A crash keeps both rows, reading 0 until the VIP is provisioned again
+  // (gauge() reads -1 for a series that does not exist).
+  sw.reset();
+  obs::Snapshot snap = sw.metrics().snapshot();
+  EXPECT_EQ(gauge(snap, "silkroad_capacity_vip_entries", label_a), 0.0);
+  EXPECT_EQ(gauge(snap, "silkroad_capacity_vip_entries", label_b), 0.0);
+  EXPECT_EQ(gauge(snap, "silkroad_capacity_vip_bytes", label_a), 0.0);
+
+  // Re-provisioning one VIP attributes exactly its new entries to it.
+  sw.add_vip(vip_a, four_dips());
+  for (std::uint32_t client = 2000; client < 2150; ++client) {
+    sw.process_packet(syn_packet(vip_a, client));
+  }
+  sim.run();
+  snap = sw.metrics().snapshot();
+  const double a = gauge(snap, "silkroad_capacity_vip_entries", label_a);
+  const double b = gauge(snap, "silkroad_capacity_vip_entries", label_b);
+  EXPECT_GT(a, 0);
+  EXPECT_EQ(a, static_cast<double>(sw.conn_table().size()));
+  EXPECT_EQ(b, 0.0);
+  EXPECT_EQ(a + b, static_cast<double>(sw.conn_table().size()));
+  EXPECT_GT(gauge(snap, "silkroad_capacity_vip_bytes", label_a), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Alarm hysteresis: exactly one trace event per true crossing
 // ---------------------------------------------------------------------------
@@ -163,17 +206,9 @@ AlarmCounts count_alarm_events(const obs::TraceRing& ring) {
 
 TEST(CapacityLedger, AlarmHysteresisOneEventPerCrossing) {
   obs::TraceRing ring(256);
-  obs::ResourceLedger ledger;
-  ledger.bind_trace(&ring);
+  core::CapacityLedger::Track track;
 
-  double occ = 0;
-  obs::ResourceLedger::TableProbe probe;
-  probe.entries = [&occ] { return static_cast<std::uint64_t>(occ * 1000); };
-  probe.bytes = [] { return std::uint64_t{0}; };
-  probe.occupancy = [&occ] { return occ; };
-  ledger.register_table("t", probe);
-
-  using Level = obs::CapacityLevel;
+  using Level = core::CapacityLevel;
   const std::vector<std::tuple<double, Level, std::uint64_t>> steps = {
       // occupancy, expected level after poll, expected TOTAL transitions
       {0.50, Level::kOk, 0},        // below every threshold
@@ -189,15 +224,13 @@ TEST(CapacityLedger, AlarmHysteresisOneEventPerCrossing) {
   };
   sim::Time now = 0;
   for (const auto& [occupancy, level, transitions] : steps) {
-    occ = occupancy;
     now += sim::kSecond;
-    ledger.poll(now);
-    EXPECT_EQ(ledger.level("t"), level) << "at occupancy " << occupancy;
-    EXPECT_EQ(ledger.total_transitions(), transitions)
-        << "at occupancy " << occupancy;
+    track.sample(now, occupancy, &ring);
+    EXPECT_EQ(track.level, level) << "at occupancy " << occupancy;
+    EXPECT_EQ(track.transitions, transitions) << "at occupancy " << occupancy;
   }
-  EXPECT_EQ(ledger.transitions("t"), 8u);
-  EXPECT_EQ(ledger.worst_level(), Level::kOk);
+  EXPECT_EQ(track.transitions, 8u);
+  EXPECT_EQ(track.level, Level::kOk);
 
   // The trace ring saw exactly one event per transition: 4 raises (watch,
   // then watch+pressure+critical) and 4 clears.
@@ -225,7 +258,7 @@ TEST(CapacityLedger, ForecastProjectsLinearFill) {
     points.emplace_back(static_cast<sim::Time>(i) * sim::kSecond,
                         0.20 + 0.05 * i);
   }
-  const auto forecast = obs::ResourceLedger::linear_forecast(points, 8);
+  const auto forecast = core::CapacityLedger::linear_forecast(points, 8);
   ASSERT_TRUE(forecast.valid);
   EXPECT_NEAR(forecast.occupancy, 0.65, 1e-9);
   EXPECT_NEAR(forecast.slope_per_s, 0.05, 1e-9);
@@ -237,44 +270,32 @@ TEST(CapacityLedger, ForecastFlatAndShortWindows) {
   for (int i = 0; i < 10; ++i) {
     flat.emplace_back(static_cast<sim::Time>(i) * sim::kSecond, 0.40);
   }
-  const auto steady = obs::ResourceLedger::linear_forecast(flat, 8);
+  const auto steady = core::CapacityLedger::linear_forecast(flat, 8);
   ASSERT_TRUE(steady.valid);
   EXPECT_NEAR(steady.slope_per_s, 0.0, 1e-9);
   EXPECT_EQ(steady.seconds_to_full, -1);  // not filling
 
   const std::vector<std::pair<sim::Time, double>> few = {
       {0, 0.1}, {sim::kSecond, 0.2}};
-  EXPECT_FALSE(obs::ResourceLedger::linear_forecast(few, 8).valid);
+  EXPECT_FALSE(core::CapacityLedger::linear_forecast(few, 8).valid);
 }
 
 TEST(CapacityLedger, ForecastThroughPolledHistory) {
-  obs::ResourceLedger::Options options;
-  options.forecast_min_samples = 4;
-  obs::ResourceLedger ledger(options);
-
-  double occ = 0;
-  obs::ResourceLedger::TableProbe probe;
-  probe.entries = [] { return std::uint64_t{0}; };
-  probe.bytes = [] { return std::uint64_t{0}; };
-  probe.occupancy = [&occ] { return occ; };
-  ledger.register_table("ramp", probe);
-
+  core::CapacityLedger::Track ramp;
   for (int i = 0; i < 8; ++i) {
-    occ = 0.10 * i;
-    ledger.poll(static_cast<sim::Time>(i) * sim::kSecond);
+    ramp.sample(static_cast<sim::Time>(i) * sim::kSecond, 0.10 * i, nullptr);
   }
-  const auto forecast = ledger.forecast("ramp");
+  const auto forecast = ramp.forecast();
   ASSERT_TRUE(forecast.valid);
   EXPECT_NEAR(forecast.slope_per_s, 0.10, 1e-9);
   EXPECT_NEAR(forecast.seconds_to_full, (1.0 - 0.70) / 0.10, 1e-6);
 
-  // Re-polling the same timestamp replaces the sample instead of duplicating
-  // the time point (keeps the regression well-conditioned).
-  occ = 0.75;
-  ledger.poll(7 * sim::kSecond);
-  const auto updated = ledger.forecast("ramp");
-  ASSERT_TRUE(updated.valid);
-  EXPECT_NEAR(updated.occupancy, 0.75, 1e-9);
+  // The window keeps the newest kHistory samples.
+  for (int i = 8; i < 100; ++i) {
+    ramp.sample(static_cast<sim::Time>(i) * sim::kSecond, 0.5, nullptr);
+  }
+  EXPECT_EQ(ramp.history.size(), core::CapacityLedger::kHistory);
+  EXPECT_EQ(ramp.history.front().first, 36 * sim::kSecond);
 }
 
 // ---------------------------------------------------------------------------

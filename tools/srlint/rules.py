@@ -45,7 +45,8 @@ R12 no ad-hoc SRAM byte aggregation in src/ outside the capacity
                                       bits_to_bytes()/..._table_bytes() results
                                       into +/-/*//(+=,-=) arithmetic re-derives
                                       totals that asic::silkroad_usage and
-                                      obs::ResourceLedger (DESIGN.md §15)
+                                      core::CapacityLedger (DESIGN.md §15,
+                                      which also apportions per-VIP bytes)
                                       already own; inline totals drift silently
                                       when the cell model changes. Attribution
                                       sites carry `srlint: allow(R12)` or an
@@ -529,8 +530,8 @@ _R12_ALLOWED = {
     "src/asic/sram.h",
     "src/core/memory_model.h",
     "src/core/memory_model.cc",
-    "src/obs/capacity.h",
-    "src/obs/capacity.cc",
+    "src/core/capacity.h",
+    "src/core/capacity.cc",
 }
 
 
@@ -602,7 +603,7 @@ def check_r12(model: FileModel) -> list[Violation]:
                     "R12",
                     f"'{t.value}()' folded into ad-hoc SRAM byte arithmetic "
                     "— capacity totals belong to asic::silkroad_usage / "
-                    "obs::ResourceLedger (DESIGN.md §15); attribution sites "
+                    "core::CapacityLedger (DESIGN.md §15); attribution sites "
                     "may suppress with 'srlint: allow(R12) <reason>'",
                 )
             )
